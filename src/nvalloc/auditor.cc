@@ -266,8 +266,10 @@ HeapAuditor::patrolRegionTable(PatrolCursor &cur, unsigned budget,
     unsigned used = 0;
     // Entries are published/retired with single-word updates, so each
     // read observes either 0 or a complete entry — no re-read needed.
+    // The allocator writes them under its lock, which the patrol does
+    // not take: the read must be atomic.
     while (cur.pos < a_.region_slots_ && used < budget) {
-        uint64_t e = a_.region_table_[cur.pos];
+        uint64_t e = loadRegionSlot(a_.region_table_[cur.pos]);
         ++used;
         ++res.items;
         ++cur.pos;
@@ -534,7 +536,7 @@ HeapAuditor::checkRegionsAndExtents()
     // Region table (persistent) vs the volatile region map.
     std::unordered_map<uint64_t, uint64_t> table;
     for (unsigned i = 0; i < a_.region_slots_; ++i) {
-        uint64_t e = a_.region_table_[i];
+        uint64_t e = loadRegionSlot(a_.region_table_[i]);
         if (e == 0)
             continue;
         uint64_t off = regionEntryOff(e);

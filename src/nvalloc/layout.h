@@ -21,6 +21,7 @@
 #ifndef NVALLOC_NVALLOC_LAYOUT_H
 #define NVALLOC_NVALLOC_LAYOUT_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -417,6 +418,27 @@ constexpr uint64_t
 regionEntrySize(uint64_t e)
 {
     return (e & ((uint64_t{1} << 28) - 1)) << 16;
+}
+
+/**
+ * Region-table slot access. The large allocator publishes and retires
+ * slots under its lock while the maintenance patrol reads them without
+ * it, so every access is a relaxed atomic on the plain on-media word.
+ * Relaxed suffices: a slot is one single-word update, and a reader
+ * needs old-or-new, never an ordering against other words.
+ */
+inline uint64_t
+loadRegionSlot(uint64_t &slot)
+{
+    static_assert(std::atomic_ref<uint64_t>::required_alignment <=
+                  alignof(uint64_t));
+    return std::atomic_ref<uint64_t>(slot).load(std::memory_order_relaxed);
+}
+
+inline void
+storeRegionSlot(uint64_t &slot, uint64_t e)
+{
+    std::atomic_ref<uint64_t>(slot).store(e, std::memory_order_relaxed);
 }
 
 /** Slabs recovery refused to adopt (bad header after a crash +

@@ -7,7 +7,9 @@
  *                                     # threads {1,8,16}, zipfian
  *   nvalloc_ycsb --quick              # CI shape: 20k keys, {1,4,8}
  *   nvalloc_ycsb --workload B         # one mix
- *   nvalloc_ycsb --uniform --theta=0.8 --records=2000000 --ops=500000
+ *   nvalloc_ycsb --uniform --theta 0.8 --records 2000000 --ops=500000
+ *                                     # value flags take "--f V" or
+ *                                     # "--f=V"
  *   nvalloc_ycsb --crash              # crash-mid-YCSB smoke: run A
  *                                     # on a shadow device, kill it at
  *                                     # a seeded flush, recover,
@@ -241,48 +243,48 @@ main(int argc, char **argv)
     o.seed = args.seed;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
-        auto val = [&](const char *pfx) -> const char * {
-            size_t n = std::strlen(pfx);
-            return std::strncmp(a, pfx, n) == 0 ? a + n : nullptr;
+        // Value of "--name=V" or "--name V" (the latter consumes the
+        // next argument); nullptr when `a` is not that flag.
+        auto val = [&](const char *name) -> const char * {
+            size_t n = std::strlen(name);
+            if (std::strncmp(a, name, n) != 0)
+                return nullptr;
+            if (a[n] == '=')
+                return a + n + 1;
+            if (a[n] == '\0' && i + 1 < argc)
+                return argv[++i];
+            return nullptr;
         };
-        if (std::strcmp(a, "--quick") == 0 ||
-            std::strncmp(a, "--seed=", 7) == 0) {
+        if (std::strcmp(a, "--quick") == 0) {
             // handled by BenchArgs::parse
         } else if (std::strcmp(a, "--crash") == 0) {
             o.crash = true;
         } else if (std::strcmp(a, "--uniform") == 0) {
             o.uniform = true;
-        } else if (const char *v = val("--workload=")) {
-            if (std::strcmp(v, "all") == 0) {
+        } else if (const char *v = val("--workload")) {
+            if (std::strcmp(v, "all") == 0)
                 o.workloads = "ABCDEF";
-            } else if (std::strlen(v) == 1 && *v >= 'A' &&
-                       *v <= 'F') {
+            else if (std::strlen(v) == 1 && *v >= 'A' && *v <= 'F')
                 o.workloads = v;
-            } else {
-                return usage(argv[0]);
-            }
-        } else if (std::strcmp(a, "--workload") == 0 &&
-                   i + 1 < argc) {
-            a = argv[++i];
-            if (std::strcmp(a, "all") == 0)
-                o.workloads = "ABCDEF";
-            else if (std::strlen(a) == 1 && *a >= 'A' && *a <= 'F')
-                o.workloads = a;
             else
                 return usage(argv[0]);
-        } else if (const char *v = val("--records=")) {
+        } else if (const char *v = val("--records")) {
             o.records = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = val("--ops=")) {
+        } else if (const char *v = val("--ops")) {
             o.ops = std::strtoull(v, nullptr, 10);
-        } else if (const char *v = val("--theta=")) {
+        } else if (const char *v = val("--theta")) {
             o.theta = std::strtod(v, nullptr);
-        } else if (const char *v = val("--threads=")) {
+        } else if (const char *v = val("--seed")) {
+            o.seed = std::strtoull(v, nullptr, 10);
+        } else if (const char *v = val("--threads")) {
             o.threads.clear();
             for (const char *p = v; *p;) {
-                o.threads.push_back(unsigned(std::strtoul(
-                    p, const_cast<char **>(&p), 10)));
-                if (*p == ',')
-                    ++p;
+                char *end = nullptr;
+                unsigned long t = std::strtoul(p, &end, 10);
+                if (end == p || t == 0 || (*end != ',' && *end != '\0'))
+                    return usage(argv[0]); // a non-number would spin
+                o.threads.push_back(unsigned(t));
+                p = *end == ',' ? end + 1 : end;
             }
         } else {
             return usage(argv[0]);
