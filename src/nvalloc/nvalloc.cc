@@ -380,11 +380,27 @@ NvAlloc::attachThread()
                               cfg_.interleaved_tcache, cfg_.tcache_slots,
                               slot);
     // A recycled slot may hold entries of a previous thread whose
-    // sequence numbers would shadow ours at replay; start clean.
+    // sequence numbers would shadow ours at replay; start clean. A
+    // crash mid-clear must not leave a history replay misreads: if a
+    // finished transaction's op entries outlived its commit record,
+    // replay would take it for one in flight and undo it. Only the
+    // newest entry decides what replay does, so it survives the first
+    // epoch intact and is cleared in a second one.
     uint64_t ring_off = sb_->wal_off + uint64_t(slot) * kWalRingBytes;
+    auto *newest =
+        const_cast<WalEntry *>(Wal::newestEntry(&dev_, ring_off));
+    WalEntry keep{};
+    if (newest)
+        keep = *newest;
     std::memset(dev_.at(ring_off), 0, kWalRingBytes);
+    if (newest)
+        *newest = keep;
     dev_.persistFence(dev_.at(ring_off), kWalRingBytes,
                       TimeKind::FlushWal);
+    if (newest) {
+        *newest = WalEntry{};
+        dev_.persistFence(newest, sizeof(WalEntry), TimeKind::FlushWal);
+    }
     ctx->wal.attach(&dev_, sb_->wal_off + uint64_t(slot) * kWalRingBytes,
                     cfg_.interleaved_wal, cfg_.bit_stripes,
                     cfg_.flush_enabled);

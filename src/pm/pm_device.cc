@@ -99,9 +99,8 @@ PmDevice::unmapRegion(uint64_t offset, size_t bytes)
     // Release physical pages; contents must read back as zero if the
     // range is recycled, matching a fresh mmap of a punched hole.
     ::madvise(base_ + offset, bytes, MADV_DONTNEED);
-    if (shadow_)
-        ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
-    dropFaultState(offset, bytes);
+    if (!dropMedia(offset, bytes))
+        return; // past the crash point: the recovered heap owns it
 
     std::lock_guard<std::mutex> g(region_mutex_);
     mapped_bytes_ -= bytes;
@@ -223,26 +222,37 @@ void
 PmDevice::decommit(uint64_t offset, size_t bytes)
 {
     ::madvise(base_ + offset, bytes, MADV_DONTNEED);
-    if (shadow_)
-        ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
-    dropFaultState(offset, bytes);
+    if (!dropMedia(offset, bytes))
+        return;
     std::lock_guard<std::mutex> g(region_mutex_);
     committed_bytes_ -= bytes;
 }
 
-void
-PmDevice::dropFaultState(uint64_t offset, size_t bytes)
+bool
+PmDevice::dropMedia(uint64_t offset, size_t bytes)
 {
+    if (!fi_) {
+        if (shadow_)
+            ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
+        return true;
+    }
+    std::lock_guard<std::mutex> g(stage_mutex_);
+    // Past a scheduled crash point the durable image is frozen: the
+    // threads still running are past the power cut, so a release they
+    // make must neither zero media nor free space that the recovered
+    // heap still owns.
+    if (fi_->triggered())
+        return false;
+    if (shadow_)
+        ::madvise(shadow_ + offset, bytes, MADV_DONTNEED);
     // A released range holds no staged flushes, and remapping fresh
     // pages over a poisoned line clears its poison.
-    if (!fi_)
-        return;
-    std::lock_guard<std::mutex> g(stage_mutex_);
     for (uint64_t line = offset; line < offset + bytes;
          line += kCacheLine) {
         staged_.erase(line);
         fi_->clearPoison(line);
     }
+    return true;
 }
 
 void

@@ -270,7 +270,9 @@ class PmDevice
     void stageLine(uint64_t line);
     void commitLine(uint64_t line);
     void freezeAtCrashPoint();
-    void dropFaultState(uint64_t offset, size_t bytes);
+    /** Release a range's durable image and fault state; false (and
+     *  nothing released) once a scheduled crash point froze it. */
+    bool dropMedia(uint64_t offset, size_t bytes);
 };
 
 } // namespace nvalloc

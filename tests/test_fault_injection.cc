@@ -183,6 +183,34 @@ TEST_F(FaultDeviceFixture, ArmedCrashFreezesWithoutThrowing)
     EXPECT_FALSE(dev_->crashTriggered()) << "crash consumed the arming";
 }
 
+TEST_F(FaultDeviceFixture, PostCrashReleaseLeavesDurableImageAlone)
+{
+    dev_->enableFaultInjection(FaultPolicy{});
+    uint64_t other = dev_->mapRegion(4096);
+    auto *v = static_cast<uint64_t *>(dev_->at(other));
+    w_[0] = 7;
+    v[0] = 9;
+    dev_->persistFence(w_, 8, TimeKind::FlushData);
+    dev_->persistFence(v, 8, TimeKind::FlushData);
+
+    dev_->armCrashAtFlush(1);
+    w_[1] = 1;
+    dev_->persist(&w_[1], 8, TimeKind::FlushData);
+    ASSERT_TRUE(dev_->crashTriggered());
+
+    // Past the power cut, the still-running workload releases both
+    // ranges. Neither may reach the durable image, and the unmapped
+    // region, still owned by the heap that recovers, must not be handed
+    // out again.
+    dev_->decommit(off_, 4096);
+    dev_->unmapRegion(other, 4096);
+    dev_->crash();
+    EXPECT_EQ(w_[0], 7u) << "post-crash decommit zeroed durable data";
+    EXPECT_EQ(v[0], 9u) << "post-crash unmap zeroed durable data";
+    EXPECT_NE(dev_->mapRegion(4096), other)
+        << "post-crash unmap freed a region the image still uses";
+}
+
 TEST_F(FaultDeviceFixture, PoisonReadsSentinelUntilRewritten)
 {
     dev_->poisonLine(off_);

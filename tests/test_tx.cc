@@ -8,7 +8,9 @@
  * 3rd, ... flush (and fence) of the transaction section until the
  * section completes, and at EVERY point the recovered heap must show
  * the transaction all-or-nothing: every staged effect visible, or
- * none, never a mix — plus no leak and a violation-free audit.
+ * none, never a mix — plus no leak and a violation-free audit. A
+ * second sweep crashes inside the clear of a recycled WAL slot and
+ * checks that the previous owner's committed transactions survive.
  *
  * Like the fault-injection sweep, the tests honour
  * NVALLOC_MAINTENANCE=off|manual|thread and NVALLOC_HARDENING=full
@@ -779,6 +781,89 @@ TEST_P(TxCrashSweep, AllOrNothingAtEveryFencePoint)
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TxCrashSweep, ::testing::Range(0, 5));
+
+// ---------------------------------------------------------------------
+// Recycled WAL slots: the next attach clears the previous owner's
+// finished history, and a crash mid-clear must not resurrect any of it
+// as an in-flight transaction.
+// ---------------------------------------------------------------------
+
+/**
+ * One thread runs `plain` plain allocations, then eight transactions
+ * that each replace the block published in root word 0, and detaches.
+ * A second thread attaches to the same slot with a crash armed at the
+ * nth flush; the clear of the slot is where it lands. The last
+ * transaction committed, so after recovery root word 0 must still hold
+ * its block. Varying `plain` moves that transaction across the ring's
+ * wrap point, so some layout puts its op entries after its commit
+ * record in the clear's flush order. Returns whether the crash fired.
+ */
+bool
+runSlotClearCrashPoint(unsigned plain, unsigned nth)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "plain=" << plain << " flush=" << nth);
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 26;
+    dcfg.shadow = true;
+    PmDevice dev(dcfg);
+    dev.enableFaultInjection(FaultPolicy{});
+
+    uint64_t last = 0;
+    bool triggered = false;
+    {
+        auto alloc = NvAlloc::openOrDie(dev, sweepConfig());
+        ThreadCtx *a = alloc->attachThread();
+        EXPECT_NE(a, nullptr);
+        for (unsigned i = 0; i < plain; ++i)
+            EXPECT_NE(alloc->allocOffset(*a, 64, alloc->rootWord(1 + i)),
+                      0u);
+        for (unsigned i = 0; i < 8; ++i) {
+            EXPECT_EQ(alloc->txBegin(*a), NvStatus::Ok);
+            if (last)
+                EXPECT_EQ(alloc->txFree(*a, last), NvStatus::Ok);
+            last = alloc->txAlloc(*a, 64, alloc->rootWord(0));
+            EXPECT_NE(last, 0u);
+            EXPECT_EQ(alloc->txCommit(*a), NvStatus::Ok);
+        }
+        alloc->detachThread(a);
+
+        dev.armCrashAtFlush(nth);
+        ThreadCtx *b = alloc->attachThread(); // recycles a's slot
+        EXPECT_NE(b, nullptr);
+        triggered = dev.crashTriggered();
+        alloc->detachThread(b);
+        alloc->simulateCrash();
+    }
+
+    auto again = NvAlloc::openOrDie(dev, sweepConfig());
+    EXPECT_EQ(*again->rootWord(0), last)
+        << "a committed transaction was rolled back";
+    AuditReport audit = HeapAuditor(*again).audit();
+    EXPECT_EQ(audit.violations(), 0u) << audit.summary();
+    ThreadCtx *c = again->attachThread();
+    EXPECT_NE(c, nullptr);
+    EXPECT_EQ(again->freeOffset(*c, last, again->rootWord(0)),
+              NvStatus::Ok)
+        << "the committed block is no longer allocated";
+    again->detachThread(c);
+    return triggered;
+}
+
+TEST(TxSlotRecycle, CommittedHistorySurvivesCrashMidClear)
+{
+    constexpr unsigned kCap = 400;
+    for (unsigned plain = 0; plain < 4; ++plain) {
+        unsigned nth = 1;
+        for (; nth <= kCap; ++nth) {
+            if (!runSlotClearCrashPoint(plain, nth))
+                break;
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        ASSERT_LE(nth, kCap) << "sweep never ran out of flush points";
+    }
+}
 
 } // namespace
 } // namespace nvalloc
