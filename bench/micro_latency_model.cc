@@ -8,10 +8,14 @@
  * and reflush latency is 3x/7x the random/sequential write latency.
  * These benchmarks measure the *virtual* cost the model charges per
  * flush for each access pattern and report it as the `vns_per_flush`
- * counter (wall time of the model code itself is irrelevant).
+ * counter. BM_FlushFenceHostCost measures the other clock: the host
+ * cost of the model code itself, per flush+fence, as threads are
+ * added.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "pm/pm_device.h"
 
@@ -97,8 +101,46 @@ BM_RandomFlush(benchmark::State &state)
         double(VClock::now() - v0) / double(flushes);
 }
 
+/**
+ * Host cost of one flush plus one fence with 1, 2 and 4 threads on one
+ * device. Each thread cycles over 64 lines of its own 16 KB span: past
+ * the reflush window and inside the XPBuffer, so after warmup every
+ * flush is an XPLine hit and never touches the shared media server.
+ * Any growth of the per-iteration CPU time with the thread count is
+ * then contention inside the model. An iteration is one flush+fence,
+ * so the CPU column (summed over threads, divided by all iterations)
+ * is host ns per flush+fence per thread.
+ */
+void
+BM_FlushFenceHostCost(benchmark::State &state)
+{
+    static std::unique_ptr<PmDevice> dev;
+    if (state.thread_index() == 0) {
+        PmDeviceConfig cfg;
+        cfg.size = size_t{1} << 26;
+        dev = std::make_unique<PmDevice>(cfg);
+    }
+    const uint64_t span = uint64_t(state.thread_index()) << 20;
+    uint64_t i = 0, flushes = 0;
+    VClock::reset();
+    for (auto _ : state) {
+        // The start barrier orders thread 0's setup before this read.
+        PmDevice &d = *dev;
+        d.flushLine(d.base() + span + (i++ % 64) * 64, TimeKind::FlushMeta);
+        d.fence();
+        ++flushes;
+    }
+    state.counters["vns_per_flush"] = benchmark::Counter(
+        double(VClock::now()) / double(flushes),
+        benchmark::Counter::kAvgThreads);
+    // The stop barrier has every thread out of the loop by now.
+    if (state.thread_index() == 0)
+        dev.reset();
+}
+
 } // namespace
 
+BENCHMARK(BM_FlushFenceHostCost)->Threads(1)->Threads(2)->Threads(4);
 BENCHMARK(BM_ReflushDistance)->DenseRange(1, 6)->Arg(8)->Arg(16);
 BENCHMARK(BM_SequentialFlush);
 BENCHMARK(BM_RandomFlush);

@@ -465,7 +465,11 @@ NvAlloc::publish(uint64_t *where, uint64_t value)
 {
     if (!where)
         return;
-    *where = value;
+    // The attach word may share a line with words other threads store
+    // and the device copies to its durable image at flush and fence
+    // time; a relaxed atomic store keeps that copy race-free.
+    std::atomic_ref<uint64_t>(*where).store(value,
+                                            std::memory_order_relaxed);
     if (dev_.contains(where))
         dev_.persistFence(where, sizeof(uint64_t), TimeKind::FlushData);
 }

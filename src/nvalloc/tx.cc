@@ -217,12 +217,16 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     if ((woff & 7) != 0)
         return txRejected();
 
-    uint64_t old = *word;
+    // Relaxed atomic accesses, as in publish(): the word may share a
+    // line that another thread's flush or fence copies to the durable
+    // image.
+    std::atomic_ref<uint64_t> target(*word);
+    uint64_t old = target.load(std::memory_order_relaxed);
     // Journal undo (where_off) + redo (size) before the in-place
     // write: crash before the entry = word untouched; crash after =
     // the entry restores or re-applies it either way.
     ctx.wal.append(kWalTxData, woff, old, value, ctx.tx.id);
-    *word = value;
+    target.store(value, std::memory_order_relaxed);
     dev_.persistFence(word, sizeof(uint64_t), TimeKind::FlushData);
 
     TxOp op;

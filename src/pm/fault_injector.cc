@@ -10,12 +10,12 @@ void
 FaultInjector::copyLineTorn(char *dst, const char *src, uint64_t line)
 {
     if (!policy_.word_granularity) {
-        std::memcpy(dst, src, kCacheLine);
+        copyLineWords(dst, src);
         return;
     }
     for (unsigned w = 0; w < kCacheLine / 8; ++w) {
         if (wordLands(line, w))
-            std::memcpy(dst + w * 8, src + w * 8, 8);
+            copyLiveWord(dst + w * 8, src + w * 8);
         else
             ++stats_.words_torn;
     }

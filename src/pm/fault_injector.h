@@ -35,11 +35,39 @@
 #ifndef NVALLOC_PM_FAULT_INJECTOR_H
 #define NVALLOC_PM_FAULT_INJECTOR_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
 
+#include "common/size_classes.h"
+
 namespace nvalloc {
+
+/**
+ * Copy one 8-byte word from the live image into the durable image.
+ * Other threads may store to words of a line while a flush, fence or
+ * crash copies it (bucket words of different lock stripes share
+ * lines), so each word moves through relaxed atomic_refs: the copy
+ * sees every word whole, as the 8-byte store atomicity above says,
+ * and on x86 each access is still a plain mov.
+ */
+inline void
+copyLiveWord(char *dst, const char *src)
+{
+    auto *s = reinterpret_cast<uint64_t *>(const_cast<char *>(src));
+    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(dst))
+        .store(std::atomic_ref<uint64_t>(*s).load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
+}
+
+/** copyLiveWord over a whole 64 B line. */
+inline void
+copyLineWords(char *dst, const char *src)
+{
+    for (unsigned w = 0; w < kCacheLine / 8; ++w)
+        copyLiveWord(dst + w * 8, src + w * 8);
+}
 
 /** What survives of the crash epoch; all coins seeded + per-line. */
 struct FaultPolicy

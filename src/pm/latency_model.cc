@@ -1,6 +1,6 @@
 #include "pm/latency_model.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/size_classes.h"
 
@@ -11,35 +11,82 @@ namespace {
 constexpr unsigned kMruCap = 8;      // recent distinct lines tracked
 constexpr uint64_t kXpLine = 256;    // Optane internal write granule
 
+/** One past the highest index in [lo, i) holding `x`, or lo if none.
+ *  Compares four entries per branch: a miss into a full XPBuffer
+ *  scans every entry, and one branch per entry makes that scan the
+ *  costliest step of the flush path. */
+unsigned
+findDescending(const uint64_t *a, unsigned lo, unsigned i, uint64_t x)
+{
+    for (; i >= lo + 4; i -= 4) {
+        if ((a[i - 1] == x) | (a[i - 2] == x) | (a[i - 3] == x) |
+            (a[i - 4] == x))
+            break;
+    }
+    while (i > lo && a[i - 1] != x)
+        --i;
+    return i;
+}
+
 } // namespace
 
 /**
- * Per-thread flush history. Stored thread-locally and keyed by (model,
- * generation) so that reset() on one model cannot leak stale recency
- * state into the next benchmark phase, and several devices can be live
- * at once.
+ * One thread's flush history and counter shard for one model. The
+ * model owns it (so counts survive thread exit) and only the owning
+ * thread writes it: the counters with relaxed load+store, the history
+ * plainly. counts() reads the counters with relaxed loads. History is
+ * keyed by the model's generation, so reset() cannot leak stale
+ * recency state into the next benchmark phase.
  */
-struct LatencyModel::ThreadState
+struct alignas(kCacheLine) LatencyModel::ThreadState
 {
-    const LatencyModel *owner = nullptr;
-    uint64_t generation = 0;
+    // Counter shard, on its own line: the only part another thread
+    // (counts()) ever reads.
+    std::atomic<uint64_t> n_total{0};
+    //! Indexed by FlushClass.
+    std::atomic<uint64_t> n_class[kNumFlushClasses] = {};
+    std::atomic<uint64_t> n_fence{0};
+
+    alignas(kCacheLine) uint64_t generation = 0;
 
     // MRU list of recently flushed 64 B lines, deduplicated.
     uint64_t mru[kMruCap] = {};
     unsigned mru_len = 0;
 
-    // LRU set of buffered 256 B XPLines.
-    std::vector<uint64_t> xplines;
+    // LRU set of buffered 256 B XPLines: a ring of xp_cap slots,
+    // oldest at xp_head, newest at xp_head + xp_len - 1 (mod xp_cap).
+    std::unique_ptr<uint64_t[]> xp;
+    unsigned xp_cap;
+    unsigned xp_head = 0;
+    unsigned xp_len = 0;
 
-    uint64_t last_line = ~uint64_t{0};
     uint64_t last_miss_xpline = ~uint64_t{0};
 
     // Sink attribution row (FlushSink::flushCells), re-resolved
     // whenever the model's sink epoch moves past sink_epoch. epoch 0
-    // never matches the model's (it starts at 1), so a fresh slot
+    // never matches the model's (it starts at 1), so a fresh history
     // resolves on its first flush.
     std::atomic<uint64_t> *sink_cells = nullptr;
     uint64_t sink_epoch = 0;
+
+    explicit ThreadState(unsigned xpbuf_lines)
+        : xp(std::make_unique<uint64_t[]>(xpbuf_lines)),
+          xp_cap(xpbuf_lines)
+    {
+    }
+
+    /** Forget every flush before generation `gen`; counters stay. */
+    void
+    resetHistory(uint64_t gen)
+    {
+        generation = gen;
+        mru_len = 0;
+        xp_head = 0;
+        xp_len = 0;
+        last_miss_xpline = ~uint64_t{0};
+        sink_cells = nullptr;
+        sink_epoch = 0;
+    }
 
     /** Reflush distance of `line`, or kMruCap if the line was not
      *  flushed recently (a fresh line is never a reflush, no matter
@@ -66,73 +113,142 @@ struct LatencyModel::ThreadState
         return fresh ? kMruCap : found;
     }
 
-    /** True if the XPLine was buffered; refreshes LRU either way. */
+    /** True if the XPLine was buffered; makes it the newest either
+     *  way, evicting the oldest on a miss into a full buffer. The scan
+     *  starts at the newest entry, where hits cluster. */
     bool
-    touchXpLine(uint64_t xpline, unsigned capacity)
+    touchXpLine(uint64_t xpline)
     {
-        for (size_t i = 0; i < xplines.size(); ++i) {
-            if (xplines[i] == xpline) {
-                xplines.erase(xplines.begin() + i);
-                xplines.push_back(xpline);
-                return true;
+        // Oldest to newest, the ring is [xp_head, top) then [0, wrap);
+        // each part is one contiguous descending scan.
+        unsigned end = xp_head + xp_len;
+        unsigned wrap = end > xp_cap ? end - xp_cap : 0;
+        unsigned top = end - wrap;
+        unsigned i = findDescending(xp.get(), 0, wrap, xpline);
+        if (i == 0) {
+            i = findDescending(xp.get(), xp_head, top, xpline);
+            if (i == xp_head) {
+                if (xp_len < xp_cap) {
+                    // Filling: xp_head stays 0 until the ring is full.
+                    xp[xp_len++] = xpline;
+                } else if (xp_cap) {
+                    // Full: the oldest slot becomes the newest.
+                    xp[xp_head] = xpline;
+                    xp_head = xp_head + 1 == xp_cap ? 0 : xp_head + 1;
+                }
+                return false;
             }
         }
-        xplines.push_back(xpline);
-        if (xplines.size() > capacity)
-            xplines.erase(xplines.begin());
-        return false;
+        // Hit at i - 1: slide the newer entries one slot older and put
+        // the hit at the newest end.
+        unsigned newest = (wrap ? wrap : top) - 1;
+        for (--i; i != newest;) {
+            unsigned j = i + 1 == xp_cap ? 0 : i + 1;
+            xp[i] = xp[j];
+            i = j;
+        }
+        xp[newest] = xpline;
+        return true;
     }
 };
 
 namespace {
 
-// One slot per live model this thread has touched.
-thread_local std::vector<LatencyModel::ThreadState> tl_states;
+/** A thread's ThreadState for one model; one per model it flushed. */
+struct TlRef
+{
+    const LatencyModel *owner;
+    uint64_t id;
+    LatencyModel::ThreadState *ts;
+};
 
-// Generations are drawn from a process-wide counter, never reused.
-// Slots in tl_states are matched by (owner pointer, generation); if a
-// destroyed model's address is recycled for a new one, a per-model
-// counter would restart at the same value and the stale thread history
-// would wrongly match, leaking flush recency across devices.
+thread_local std::vector<TlRef> tl_refs;
+
+/** Single-entry cache in front of tl_refs, matched against (model,
+ *  generation). POD with constant initialization, so the access is a
+ *  plain TLS load with no guard check. */
+struct FastRef
+{
+    const LatencyModel *owner;
+    uint64_t generation;
+    LatencyModel::ThreadState *ts;
+};
+
+constinit thread_local FastRef tl_fast{nullptr, 0, nullptr};
+
+// Ids and generations are drawn from one process-wide counter, never
+// reused. If a destroyed model's address is recycled for a new one, a
+// per-model counter would restart at the same value and the stale
+// thread-local refs would wrongly match, reviving a freed ThreadState.
 std::atomic<uint64_t> g_generation{1};
+
+/** Owner-thread increment: the shard is private to this thread, so a
+ *  relaxed load+store replaces a locked fetch_add. */
+void
+bump(std::atomic<uint64_t> &a)
+{
+    a.store(a.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
+}
 
 } // namespace
 
 LatencyModel::LatencyModel(LatencyParams params)
-    : params_(params), media_(params.media_slots)
+    : params_(params),
+      id_(g_generation.fetch_add(1, std::memory_order_relaxed)),
+      generation_(id_), media_(params.media_slots)
 {
-    generation_.store(g_generation.fetch_add(1, std::memory_order_relaxed),
-                      std::memory_order_relaxed);
 }
 
-// (media_ is a VServer with params.media_slots parallel units.)
+LatencyModel::~LatencyModel() = default;
 
 LatencyModel::ThreadState &
 LatencyModel::threadState()
 {
     uint64_t gen = generation_.load(std::memory_order_relaxed);
-    for (auto &ts : tl_states) {
-        if (ts.owner == this) {
-            if (ts.generation != gen) {
-                ts = ThreadState{};
-                ts.owner = this;
-                ts.generation = gen;
-            }
-            return ts;
+    if (tl_fast.owner == this && tl_fast.generation == gen) [[likely]]
+        return *tl_fast.ts;
+    return threadStateSlow(gen);
+}
+
+LatencyModel::ThreadState &
+LatencyModel::threadStateSlow(uint64_t gen)
+{
+    ThreadState *ts = nullptr;
+    for (const TlRef &ref : tl_refs) {
+        if (ref.owner == this && ref.id == id_) {
+            ts = ref.ts;
+            break;
         }
     }
-    tl_states.emplace_back();
-    auto &ts = tl_states.back();
-    ts.owner = this;
-    ts.generation = gen;
-    return ts;
+    if (!ts) {
+        auto owned = std::make_unique<ThreadState>(params_.xpbuf_lines);
+        ts = owned.get();
+        {
+            std::lock_guard<std::mutex> g(states_mutex_);
+            states_.push_back(std::move(owned));
+        }
+        // Reuse the ref a destroyed model at this address left behind.
+        TlRef fresh{this, id_, ts};
+        auto it = std::find_if(tl_refs.begin(), tl_refs.end(),
+                               [this](const TlRef &r) {
+                                   return r.owner == this;
+                               });
+        if (it != tl_refs.end())
+            *it = fresh;
+        else
+            tl_refs.push_back(fresh);
+    }
+    if (ts->generation != gen)
+        ts->resetHistory(gen);
+    tl_fast = FastRef{this, gen, ts};
+    return *ts;
 }
 
 void
 LatencyModel::noteClass(FlushClass cls, ThreadState &ts)
 {
-    n_class_[static_cast<unsigned>(cls)].fetch_add(
-        1, std::memory_order_relaxed);
+    bump(ts.n_class[static_cast<unsigned>(cls)]);
     // Sink attribution: resolve the cell row lazily (once per thread
     // per epoch), then bump it with a relaxed load+store — the row is
     // owned by this thread, so no read-modify-write is needed. The
@@ -172,15 +288,14 @@ LatencyModel::chargeMedia(uint64_t line, ThreadState &ts, TimeKind kind)
 void
 LatencyModel::onFlush(uint64_t line, TimeKind kind)
 {
-    n_total_.fetch_add(1, std::memory_order_relaxed);
+    ThreadState &ts = threadState();
+    bump(ts.n_total);
 
-    if (tracing_) {
+    if (tracing_.load(std::memory_order_relaxed)) [[unlikely]] {
         std::lock_guard<std::mutex> g(trace_mutex_);
         if (trace_.size() < trace_cap_)
             trace_.push_back(line);
     }
-
-    ThreadState &ts = threadState();
 
     if (eadr_) {
         // No flush stall; repeated dirtying of the same line is free
@@ -191,7 +306,7 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
             return;
         }
         uint64_t xpline = line & ~(kXpLine - 1);
-        if (ts.touchXpLine(xpline, params_.xpbuf_lines)) {
+        if (ts.touchXpLine(xpline)) {
             noteClass(FlushClass::XpLineHit, ts);
             VClock::advance(params_.eadr_hit, kind);
         } else {
@@ -218,24 +333,22 @@ LatencyModel::onFlush(uint64_t line, TimeKind kind)
         uint64_t cost = params_.reflush_base -
                         params_.reflush_step * distance;
         VClock::advance(cost, kind);
-        ts.last_line = line;
         return;
     }
 
     uint64_t xpline = line & ~(kXpLine - 1);
-    if (ts.touchXpLine(xpline, params_.xpbuf_lines)) {
+    if (ts.touchXpLine(xpline)) {
         noteClass(FlushClass::XpLineHit, ts);
         VClock::advance(params_.xpline_hit, kind);
     } else {
         chargeMedia(line, ts, kind);
     }
-    ts.last_line = line;
 }
 
 void
 LatencyModel::onFence()
 {
-    n_fence_.fetch_add(1, std::memory_order_relaxed);
+    bump(threadState().n_fence);
     if (!eadr_)
         VClock::advance(params_.fence, TimeKind::Fence);
 }
@@ -252,23 +365,43 @@ LatencyModel::reset()
 {
     generation_.store(g_generation.fetch_add(1, std::memory_order_relaxed),
                       std::memory_order_relaxed);
-    n_total_.store(0);
-    for (auto &c : n_class_)
-        c.store(0);
-    n_fence_.store(0);
+    {
+        std::lock_guard<std::mutex> g(states_mutex_);
+        base_ = sumShards();
+    }
     media_.reset();
+}
+
+FlushClassCounts
+LatencyModel::sumShards() const
+{
+    FlushClassCounts c;
+    for (const auto &ts : states_) {
+        c.total += ts->n_total.load(std::memory_order_relaxed);
+        c.reflush += ts->n_class[unsigned(FlushClass::Reflush)].load(
+            std::memory_order_relaxed);
+        c.sequential += ts->n_class[unsigned(FlushClass::Sequential)].load(
+            std::memory_order_relaxed);
+        c.random += ts->n_class[unsigned(FlushClass::Random)].load(
+            std::memory_order_relaxed);
+        c.xpline_hit += ts->n_class[unsigned(FlushClass::XpLineHit)].load(
+            std::memory_order_relaxed);
+        c.fences += ts->n_fence.load(std::memory_order_relaxed);
+    }
+    return c;
 }
 
 FlushClassCounts
 LatencyModel::counts() const
 {
-    FlushClassCounts c;
-    c.total = n_total_.load();
-    c.reflush = n_class_[unsigned(FlushClass::Reflush)].load();
-    c.sequential = n_class_[unsigned(FlushClass::Sequential)].load();
-    c.random = n_class_[unsigned(FlushClass::Random)].load();
-    c.xpline_hit = n_class_[unsigned(FlushClass::XpLineHit)].load();
-    c.fences = n_fence_.load();
+    std::lock_guard<std::mutex> g(states_mutex_);
+    FlushClassCounts c = sumShards();
+    c.total -= base_.total;
+    c.reflush -= base_.reflush;
+    c.sequential -= base_.sequential;
+    c.random -= base_.random;
+    c.xpline_hit -= base_.xpline_hit;
+    c.fences -= base_.fences;
     return c;
 }
 
@@ -278,7 +411,7 @@ LatencyModel::startTrace(size_t max_entries)
     std::lock_guard<std::mutex> g(trace_mutex_);
     trace_.clear();
     trace_cap_ = max_entries;
-    tracing_ = true;
+    tracing_.store(true, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t>
@@ -290,17 +423,10 @@ LatencyModel::stopTrace()
     // stale trace or touch a moved-from vector.
     std::vector<uint64_t> out;
     std::lock_guard<std::mutex> g(trace_mutex_);
-    tracing_ = false;
+    tracing_.store(false, std::memory_order_relaxed);
     trace_cap_ = 0;
     out.swap(trace_);
     return out;
-}
-
-bool
-LatencyModel::tracing() const
-{
-    std::lock_guard<std::mutex> g(trace_mutex_);
-    return tracing_;
 }
 
 } // namespace nvalloc

@@ -19,8 +19,14 @@
  *  - eADR: flushes become free (only counted), as in the paper's §6.7
  *    emulation.
  *
- * All costs advance the calling thread's VClock; counters are global
- * and deterministic for a fixed workload trace.
+ * All costs advance the calling thread's VClock; counts are
+ * deterministic for a fixed workload trace.
+ *
+ * Host cost: the flush and fence paths write only thread-owned memory
+ * (the calling thread's ThreadState: history plus counter shard), so
+ * concurrent flushing threads share no written cache line except the
+ * media server's on an XPLine miss. counts() sums the shards; reset()
+ * records a base snapshot instead of writing other threads' shards.
  */
 
 #ifndef NVALLOC_PM_LATENCY_MODEL_H
@@ -28,9 +34,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/size_classes.h"
 #include "pm/vclock.h"
 
 namespace nvalloc {
@@ -127,6 +135,7 @@ class LatencyModel
 {
   public:
     explicit LatencyModel(LatencyParams params = {});
+    ~LatencyModel();
 
     /** Charge one 64 B cache-line flush at heap offset `line` (already
      *  line-aligned), attributed to `kind`. */
@@ -139,7 +148,6 @@ class LatencyModel
     bool eadr() const { return eadr_; }
 
     const LatencyParams &params() const { return params_; }
-    void setParams(const LatencyParams &p) { params_ = p; }
 
     /** Zero counters and invalidate all per-thread history. */
     void reset();
@@ -193,37 +201,51 @@ class LatencyModel
      */
     std::vector<uint64_t> stopTrace();
 
-    bool tracing() const;
+    bool
+    tracing() const
+    {
+        return tracing_.load(std::memory_order_relaxed);
+    }
 
     struct ThreadState;
 
   private:
     ThreadState &threadState();
+    ThreadState &threadStateSlow(uint64_t gen);
     void chargeMedia(uint64_t line, ThreadState &ts, TimeKind kind);
     void noteClass(FlushClass cls, ThreadState &ts);
+    FlushClassCounts sumShards() const; //!< caller holds states_mutex_
 
-    LatencyParams params_;
-    bool eadr_ = false;
-
-    std::atomic<uint64_t> generation_{1};
+    // Read-mostly: every flush reads these, and only construction and
+    // the rare control calls (setEadr, reset, setSink, startTrace,
+    // stopTrace) write them, so they never share a line with anything
+    // the flush path writes.
+    alignas(kCacheLine) const LatencyParams params_;
+    //! Process-unique identity: a model built at a destroyed one's
+    //! address never matches the thread-local refs the old one left.
+    const uint64_t id_;
+    //! Per-thread history epoch; reset() moves it to a fresh
+    //! process-unique value.
+    std::atomic<uint64_t> generation_;
     std::atomic<FlushSink *> sink_{nullptr};
     //! Bumped on every setSink/invalidateSinkCells; threads compare it
     //! against their cached row's epoch before trusting the pointer.
     std::atomic<uint64_t> sink_epoch_{1};
-
-    std::atomic<uint64_t> n_total_{0};
-    //! Per-class flush counts, indexed by FlushClass (one indexed
-    //! fetch_add on the flush path instead of a switch).
-    std::atomic<uint64_t> n_class_[kNumFlushClasses] = {};
-    std::atomic<uint64_t> n_fence_{0};
+    bool eadr_ = false;
+    std::atomic<bool> tracing_{false};
 
     // Shared media bandwidth (XPBuffer drain ports): a windowed
-    // capacity server with `media_slots` parallel units.
-    VServer media_;
+    // capacity server with `media_slots` parallel units. Its mutex is
+    // taken on every XPLine miss, so it gets a line of its own.
+    alignas(kCacheLine) VServer media_;
 
-    // Optional flush-address trace.
-    mutable std::mutex trace_mutex_;
-    bool tracing_ = false;
+    // Cold: the per-thread states (counter shards) this model owns,
+    // the counts reset() subtracts, and the optional flush trace.
+    alignas(kCacheLine) mutable std::mutex states_mutex_;
+    std::vector<std::unique_ptr<ThreadState>> states_;
+    FlushClassCounts base_;
+
+    std::mutex trace_mutex_;
     size_t trace_cap_ = 0;
     std::vector<uint64_t> trace_;
 };

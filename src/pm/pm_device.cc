@@ -139,7 +139,7 @@ PmDevice::persist(const void *addr, size_t len, TimeKind kind)
         if (fi_)
             stageLine(line);
         else
-            std::memcpy(shadow_ + line, base_ + line, kCacheLine);
+            copyLineWords(shadow_ + line, base_ + line);
     }
 }
 
@@ -160,7 +160,7 @@ PmDevice::flushLine(const void *addr, TimeKind kind)
     if (fi_)
         stageLine(line);
     else
-        std::memcpy(shadow_ + line, base_ + line, kCacheLine);
+        copyLineWords(shadow_ + line, base_ + line);
 }
 
 void
@@ -197,7 +197,7 @@ PmDevice::stageLine(uint64_t line)
 void
 PmDevice::commitLine(uint64_t line)
 {
-    std::memcpy(shadow_ + line, base_ + line, kCacheLine);
+    copyLineWords(shadow_ + line, base_ + line);
     // A persisted write to a poisoned line heals it.
     if (fi_->isPoisoned(line))
         fi_->clearPoison(line);

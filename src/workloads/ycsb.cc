@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <mutex>
+#include <set>
 
 namespace nvalloc {
 
@@ -150,6 +152,25 @@ ycsbRun(KvStore &store, const YcsbSpec &spec, VtimeEpoch &epoch,
     // Rng so the per-thread streams stay independent and seeded.
     ZipfianGenerator zipf(spec.record_count, spec.theta);
 
+    // Read-latest picks below `acked`, not `inserted`: an id is handed
+    // out before its insert lands, so reading it could miss. `acked`
+    // moves only over a contiguous run of finished inserts (YCSB's
+    // acknowledged counter); with one thread it equals `inserted`.
+    std::atomic<uint64_t> acked{inserted.load(std::memory_order_relaxed)};
+    std::mutex ack_mutex;
+    std::set<uint64_t> acked_early; // finished ids above acked
+    auto ack = [&](uint64_t id) {
+        std::lock_guard<std::mutex> g(ack_mutex);
+        uint64_t a = acked.load(std::memory_order_relaxed);
+        if (id != a) {
+            acked_early.insert(id);
+            return;
+        }
+        for (++a; !acked_early.empty() && *acked_early.begin() == a; ++a)
+            acked_early.erase(acked_early.begin());
+        acked.store(a, std::memory_order_release);
+    };
+
     auto body = [&](unsigned tid) -> uint64_t {
         ThreadCtx *ctx = heap.attachThread();
         if (!ctx)
@@ -164,13 +185,14 @@ ycsbRun(KvStore &store, const YcsbSpec &spec, VtimeEpoch &epoch,
         std::vector<std::pair<std::string, std::string>> scratch;
 
         auto pick = [&]() -> uint64_t {
-            uint64_t base = inserted.load(std::memory_order_relaxed);
             uint64_t rank = spec.zipfian ? zipf.next(rng)
                                          : rng.nextBounded(
                                                spec.record_count);
-            if (spec.workload == YcsbWorkload::D)
+            if (spec.workload == YcsbWorkload::D) {
                 // Read-latest: rank 0 is the newest inserted id.
+                uint64_t base = acked.load(std::memory_order_acquire);
                 return base - 1 - (rank % base);
+            }
             return rank;
         };
         auto valueLen = [&]() -> uint32_t {
@@ -216,6 +238,7 @@ ycsbRun(KvStore &store, const YcsbSpec &spec, VtimeEpoch &epoch,
                 note(store.put(*ctx, ycsbKey(id),
                                ycsbValue(id, 0, valueLen())),
                      c.inserts);
+                ack(id);
             } else { // F: read-modify-write
                 uint64_t id = pick();
                 uint64_t version = rng.next() & 0xffff;

@@ -117,7 +117,8 @@ YcsbResult ycsbLoad(KvStore &store, const YcsbSpec &spec,
 /**
  * Run phase: spec.op_count ops in spec.workload's mix. `inserted`
  * carries the next insert id across phases (ycsbLoad leaves it at
- * record_count); workload D reads cluster near its current value.
+ * record_count); workload D reads cluster near the newest id whose
+ * insert has finished.
  * Returns per-op-type counts; `errors` should be zero on a healthy
  * heap.
  */

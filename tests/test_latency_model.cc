@@ -3,10 +3,16 @@
  * Tests of the flush latency model against the behaviours §3.1
  * documents: the reflush-distance cost curve (800→500 ns over
  * distances 0-3), sequential-vs-random media costs, XPBuffer hits,
- * classification counters, the eADR mode, and the trace hook.
+ * classification counters, the eADR mode, and the trace hook; a
+ * golden trace pinning every virtual nanosecond and count; and exact
+ * per-thread counter accounting under concurrent flushers.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <thread>
+#include <vector>
 
 #include "pm/pm_device.h"
 
@@ -224,6 +230,207 @@ TEST_F(LatencyModelTest, PersistFlushesEveryCoveredLine)
     dev_->model().reset();
     dev_->persist(dev_->base() + 4096, 256, TimeKind::FlushData);
     EXPECT_EQ(dev_->flushCounts().total, 4u);
+}
+
+
+/** What one golden trace run leaves behind: this thread's per-kind
+ *  virtual time and the model's flush-class counters. */
+struct GoldenResult
+{
+    std::array<uint64_t, kNumTimeKinds> vns;
+    FlushClassCounts counts;
+};
+
+/**
+ * A fixed, seeded single-thread trace that mixes every flush class:
+ * reflush loops over a few hot lines, a sequential XPLine cursor,
+ * random far-apart lines, neighbouring lines of recently touched
+ * XPLines, multi-line persists of random length, and fences. The
+ * flush kinds rotate so every TimeKind bucket gets traffic.
+ */
+GoldenResult
+runGoldenTrace(bool eadr, unsigned xpbuf_lines)
+{
+    PmDeviceConfig cfg;
+    cfg.size = size_t{1} << 28;
+    cfg.latency.xpbuf_lines = xpbuf_lines;
+    PmDevice dev(cfg);
+    if (eadr)
+        dev.model().setEadr(true);
+    VClock::reset();
+
+    const TimeKind kinds[] = {TimeKind::FlushMeta, TimeKind::FlushWal,
+                              TimeKind::FlushLog, TimeKind::FlushData};
+    char *base = dev.base();
+    uint64_t x = 0x2545f4914f6cdd1dULL;
+    auto next = [&x]() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    uint64_t seq = uint64_t{1} << 20;
+    uint64_t recent_xpline = 0;
+    for (unsigned step = 0; step < 6000; ++step) {
+        uint64_t r = next();
+        TimeKind kind = kinds[step % 4];
+        switch (r % 6) {
+        case 0: // reflush: a hot set of three lines
+            dev.flushLine(base + ((r >> 8) % 3) * 64, kind);
+            break;
+        case 1: // sequential: the next XPLine
+            dev.flushLine(base + seq, kind);
+            recent_xpline = seq;
+            seq += 256;
+            break;
+        case 2: { // random line anywhere in the first 128 MiB
+            uint64_t off = ((r >> 8) % (uint64_t{1} << 21)) * 64;
+            dev.flushLine(base + off, kind);
+            recent_xpline = off & ~uint64_t{255};
+            break;
+        }
+        case 3: // another line of a recently touched XPLine
+            dev.flushLine(base + recent_xpline + ((r >> 8) % 4) * 64,
+                          kind);
+            break;
+        case 4: { // multi-line persist of 1-600 bytes
+            uint64_t off = (uint64_t{2} << 20) + ((r >> 8) % 65536);
+            dev.persist(base + off, 1 + (r >> 24) % 600, kind);
+            break;
+        }
+        default:
+            dev.fence();
+            break;
+        }
+    }
+    return GoldenResult{VClock::snapshot(), dev.flushCounts()};
+}
+
+/** Per-TimeKind totals and counters of runGoldenTrace, computed with
+ *  the shared-counter implementation the per-thread shards replaced.
+ *  LockWait stays zero: a single thread never queues on the media. */
+struct GoldenCase
+{
+    bool eadr;
+    unsigned xpbuf_lines;
+    std::array<uint64_t, kNumTimeKinds> vns;
+    FlushClassCounts counts;
+};
+
+const GoldenCase kGolden[] = {
+    {false, 64, {404790, 405140, 404450, 398710, 27750, 0, 0, 0, 0},
+     {9631, 430, 1275, 2679, 5247, 925}},
+    {false, 4, {439210, 433420, 438180, 428790, 27750, 0, 0, 0, 0},
+     {9631, 430, 1412, 3316, 4473, 925}},
+    {true, 64, {53070, 56585, 53810, 55385, 0, 0, 0, 0, 0},
+     {9631, 430, 1275, 2679, 5247, 925}},
+    {true, 4, {63320, 65125, 63835, 64345, 0, 0, 0, 0, 0},
+     {9631, 430, 1412, 3316, 4473, 925}},
+};
+
+TEST(LatencyModelGolden, VirtualTimeAndCountsArePinned)
+{
+    for (const GoldenCase &g : kGolden) {
+        SCOPED_TRACE(testing::Message() << "eadr=" << g.eadr
+                                        << " xpbuf_lines="
+                                        << g.xpbuf_lines);
+        GoldenResult r = runGoldenTrace(g.eadr, g.xpbuf_lines);
+        for (unsigned k = 0; k < kNumTimeKinds; ++k)
+            EXPECT_EQ(r.vns[k], g.vns[k]) << "TimeKind " << k;
+        EXPECT_EQ(r.counts.total, g.counts.total);
+        EXPECT_EQ(r.counts.reflush, g.counts.reflush);
+        EXPECT_EQ(r.counts.sequential, g.counts.sequential);
+        EXPECT_EQ(r.counts.random, g.counts.random);
+        EXPECT_EQ(r.counts.xpline_hit, g.counts.xpline_hit);
+        EXPECT_EQ(r.counts.fences, g.counts.fences);
+    }
+}
+
+/** Each of `threads` threads flushes its own line `n` times with a
+ *  fence after every flush: per thread one random miss, then n - 1
+ *  reflushes. */
+void
+flushFromThreads(PmDevice &dev, unsigned threads, unsigned n)
+{
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&dev, t, n] {
+            char *line = dev.base() + (uint64_t{t} << 20);
+            for (unsigned i = 0; i < n; ++i) {
+                dev.flushLine(line, TimeKind::FlushMeta);
+                dev.fence();
+            }
+        });
+    }
+    // Read the shards while their owners write them.
+    uint64_t last = 0;
+    for (unsigned i = 0; i < 100; ++i) {
+        uint64_t total = dev.flushCounts().total;
+        EXPECT_GE(total, last);
+        last = total;
+        std::this_thread::yield();
+    }
+    for (auto &th : pool)
+        th.join();
+}
+
+void
+expectThreadCounts(const FlushClassCounts &c, unsigned threads, unsigned n)
+{
+    EXPECT_EQ(c.total, uint64_t{threads} * n);
+    EXPECT_EQ(c.fences, uint64_t{threads} * n);
+    EXPECT_EQ(c.reflush, uint64_t{threads} * (n - 1));
+    EXPECT_EQ(c.random, threads);
+    EXPECT_EQ(c.sequential, 0u);
+    EXPECT_EQ(c.xpline_hit, 0u);
+}
+
+TEST(LatencyModelCounters, ExactAcrossThreadsAndTheirExit)
+{
+    constexpr unsigned kThreads = 4, kN = 5000;
+    PmDeviceConfig cfg;
+    cfg.size = size_t{1} << 24;
+    PmDevice dev(cfg);
+
+    // Joined threads have exited; their counts stay with the model.
+    flushFromThreads(dev, kThreads, kN);
+    expectThreadCounts(dev.flushCounts(), kThreads, kN);
+
+    dev.model().reset();
+    FlushClassCounts zero = dev.flushCounts();
+    EXPECT_EQ(zero.total, 0u);
+    EXPECT_EQ(zero.reflush + zero.sequential + zero.random +
+                  zero.xpline_hit + zero.fences,
+              0u);
+
+    // Counting restarts from zero, with fresh per-thread history.
+    flushFromThreads(dev, kThreads, kN);
+    expectThreadCounts(dev.flushCounts(), kThreads, kN);
+}
+
+TEST(LatencyModelCounters, RecreatedDeviceInheritsNothing)
+{
+    PmDeviceConfig cfg;
+    cfg.size = size_t{1} << 24;
+    auto dev = std::make_unique<PmDevice>(cfg);
+    for (unsigned i = 0; i < 10; ++i) {
+        dev->flushLine(dev->base(), TimeKind::FlushMeta);
+        dev->fence();
+    }
+    EXPECT_EQ(dev->flushCounts().reflush, 9u);
+
+    // Likely reuses the freed address and this thread's cached state
+    // slot; neither the counts nor the reflush history may carry over.
+    dev.reset();
+    dev = std::make_unique<PmDevice>(cfg);
+    FlushClassCounts c = dev->flushCounts();
+    EXPECT_EQ(c.total, 0u);
+    EXPECT_EQ(c.fences, 0u);
+    dev->flushLine(dev->base(), TimeKind::FlushMeta);
+    c = dev->flushCounts();
+    EXPECT_EQ(c.total, 1u);
+    EXPECT_EQ(c.reflush, 0u) << "history leaked from the old device";
+    EXPECT_EQ(c.random, 1u);
 }
 
 } // namespace
