@@ -1,7 +1,6 @@
 #include "kv/kv_store.h"
 
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 
 #include "common/checksum.h"
@@ -78,6 +77,18 @@ drop(std::atomic<uint64_t> &a, uint64_t n = 1)
     a.fetch_sub(n, std::memory_order_relaxed);
 }
 
+/** Chain-length update under the bucket's stripe lock: the lock
+ *  serializes writers, so a plain load/store pair suffices (the atomic
+ *  only lets stats.kv.max_chain read concurrently). Floors at zero. */
+void
+adjustChain(std::atomic<uint32_t> &len, int delta)
+{
+    uint32_t v = len.load(std::memory_order_relaxed);
+    if (delta < 0 && v == 0)
+        return;
+    len.store(uint32_t(v + delta), std::memory_order_relaxed);
+}
+
 /** Scoped attach for the creation transaction: open() has no caller
  *  ThreadCtx, every later op does. */
 struct ScopedThread
@@ -152,6 +163,7 @@ KvStore::open(NvAlloc &heap, const KvOptions &opt, KvStatus *why)
         return fail(s);
     store->stats_.buckets.store(store->buckets_,
                                 std::memory_order_relaxed);
+    store->stats_.chain_len = store->chain_len_.data();
     heap.attachKvStats(&store->stats_);
     if (why)
         *why = KvStatus::Ok;
@@ -210,7 +222,7 @@ KvStore::create(const KvOptions &opt)
     if (heap_.txCommit(*t.ctx) != NvStatus::Ok)
         return KvStatus::Invalid;
     table_off_ = table;
-    chain_len_.assign(size_t(buckets_), 0);
+    chain_len_ = std::vector<std::atomic<uint32_t>>(size_t(buckets_));
     return KvStatus::Ok;
 }
 
@@ -245,7 +257,7 @@ KvStore::rebuild()
     // in-flight mutations before this runs, so the walk sees only
     // committed state.
     bump(stats_.rebuilds);
-    chain_len_.assign(size_t(buckets_), 0);
+    chain_len_ = std::vector<std::atomic<uint32_t>>(size_t(buckets_));
     uint64_t recs = 0, kb = 0, vb = 0;
     for (uint64_t b = 0; b < buckets_; ++b) {
         uint64_t off = bucketWord(b)[0];
@@ -262,7 +274,7 @@ KvStore::rebuild()
             ++recs;
             kb += h->klen;
             vb += h->vlen;
-            ++chain_len_[size_t(b)];
+            adjustChain(chain_len_[size_t(b)], +1);
             off = h->next;
         }
     }
@@ -458,7 +470,7 @@ KvStore::putLocked(ThreadCtx &ctx, uint64_t b, std::string_view key,
         bump(stats_.records);
         bump(stats_.key_bytes, key.size());
         bump(stats_.value_bytes, value.size());
-        ++chain_len_[size_t(b)];
+        adjustChain(chain_len_[size_t(b)], +1);
     }
     return KvStatus::Ok;
 }
@@ -540,8 +552,7 @@ KvStore::erase(ThreadCtx &ctx, std::string_view key)
     drop(stats_.records);
     drop(stats_.key_bytes, klen);
     drop(stats_.value_bytes, vlen);
-    if (chain_len_[size_t(b)])
-        --chain_len_[size_t(b)];
+    adjustChain(chain_len_[size_t(b)], -1);
     return KvStatus::Ok;
 }
 
@@ -648,16 +659,6 @@ KvStore::count() const
 }
 
 uint64_t
-KvStore::maxChain() const
-{
-    uint64_t m = 0;
-    for (uint32_t len : chain_len_)
-        if (len > m)
-            m = len;
-    return m;
-}
-
-uint64_t
 KvStore::recordOffset(std::string_view key)
 {
     if (key.empty() || key.size() > kMaxKeyLen)
@@ -666,41 +667,6 @@ KvStore::recordOffset(std::string_view key)
     VLockGuard g(stripeOf(b));
     FindResult f = findLocked(b, key);
     return f.off;
-}
-
-std::string
-KvStore::json() const
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"records\": %llu, \"buckets\": %llu, \"max_chain\": %llu, "
-        "\"key_bytes\": %llu, \"value_bytes\": %llu, "
-        "\"inserts\": %llu, \"updates\": %llu, \"erases\": %llu, "
-        "\"gets\": %llu, \"hits\": %llu, \"misses\": %llu, "
-        "\"scans\": %llu, \"rmws\": %llu, "
-        "\"corrupt_records\": %llu, \"rejected_unhealthy\": %llu, "
-        "\"rejected_quota\": %llu, \"rebuilds\": %llu, "
-        "\"rebuilt_records\": %llu}",
-        (unsigned long long)count(),
-        (unsigned long long)buckets_,
-        (unsigned long long)maxChain(),
-        (unsigned long long)stats_.key_bytes.load(),
-        (unsigned long long)stats_.value_bytes.load(),
-        (unsigned long long)stats_.inserts.load(),
-        (unsigned long long)stats_.updates.load(),
-        (unsigned long long)stats_.erases.load(),
-        (unsigned long long)stats_.gets.load(),
-        (unsigned long long)stats_.hits.load(),
-        (unsigned long long)stats_.misses.load(),
-        (unsigned long long)stats_.scans.load(),
-        (unsigned long long)stats_.rmws.load(),
-        (unsigned long long)stats_.corrupt_records.load(),
-        (unsigned long long)stats_.rejected_unhealthy.load(),
-        (unsigned long long)stats_.rejected_quota.load(),
-        (unsigned long long)stats_.rebuilds.load(),
-        (unsigned long long)stats_.rebuilt_records.load());
-    return buf;
 }
 
 } // namespace nvalloc

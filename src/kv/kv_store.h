@@ -150,8 +150,7 @@ class KvStore
     NvAlloc &heap() { return heap_; }
     const KvStats &stats() const { return stats_; }
     /** Longest current chain (volatile index; racy snapshot). */
-    uint64_t maxChain() const;
-    std::string json() const;
+    uint64_t maxChain() const { return stats_.maxChain(); }
 
     /** Device offset of key's record (0 if absent / invalid): the
      *  chaos harness uses it to aim corruption at live payload. */
@@ -206,8 +205,9 @@ class KvStore
     static constexpr unsigned kStripes = 64;
     std::vector<VLock> stripes_{kStripes};
     /** Volatile cached index: per-bucket chain length, rebuilt on
-     *  open, maintained under the stripe locks. */
-    std::vector<uint32_t> chain_len_;
+     *  open, maintained under the stripe locks (atomic only so that
+     *  stats.kv.max_chain can scan it lock-free). */
+    std::vector<std::atomic<uint32_t>> chain_len_;
 
     KvStats stats_;
 };

@@ -54,20 +54,6 @@ enum class HardeningPolicy : uint8_t
     Abort,      //!< std::abort at the faulting operation
 };
 
-/**
- * Small alloc/free hot-path engine (DESIGN.md §14). LockFree is the
- * default and the measured configuration: per-core regions with CAS
- * reservation, no mutex on the hit path. Locked is the escape hatch —
- * the pre-ISSUE-9 shape where every slab mutation runs under the
- * owning arena's VLock — kept for bisection and as the fallback the
- * lock-free path itself drops into when a slab is frozen.
- */
-enum class FastPathMode : uint8_t
-{
-    Locked,
-    LockFree,
-};
-
 struct NvAllocConfig
 {
     Consistency consistency = Consistency::Log;
@@ -106,9 +92,6 @@ struct NvAllocConfig
     unsigned tcache_slots = 48;
 
     // ---- lock-free fast path (core_cache.h, DESIGN.md §14) ----------
-
-    /** Small alloc/free engine; see FastPathMode. */
-    FastPathMode fastpath = FastPathMode::LockFree;
 
     /** Per-arena, per-class region slots in the CoreCache: slabs
      *  pinned for lock-free reservation. More slots spread CAS traffic
@@ -271,8 +254,6 @@ struct NvAllocConfig
             return "num_arenas must be >= 1";
         if (tcache_slots < 1)
             return "tcache_slots must be >= 1";
-        if (fastpath > FastPathMode::LockFree)
-            return "fastpath out of range";
         if (fastpath_regions < 1 || fastpath_regions > 8)
             return "fastpath_regions must be in [1, 8]";
         if (fastpath_batch < 1 || fastpath_batch > 512)
@@ -307,6 +288,10 @@ struct NvAllocConfig
             return "quarantine_depth must be <= 2^20";
         return nullptr;
     }
+
+    /** Every field is a scalar, so memberwise equality is exact; the
+     *  pool's named re-open compares whole configs with it. */
+    bool operator==(const NvAllocConfig &) const = default;
 };
 
 } // namespace nvalloc

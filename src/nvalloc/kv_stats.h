@@ -54,6 +54,25 @@ struct KvStats
     // Recovery.
     std::atomic<uint64_t> rebuilds{0};        //!< open-time index rebuilds
     std::atomic<uint64_t> rebuilt_records{0}; //!< records walked by rebuilds
+
+    /** The store's volatile per-bucket chain lengths (`buckets`
+     *  entries), set before the block attaches. Read by maxChain(). */
+    const std::atomic<uint32_t> *chain_len = nullptr;
+
+    /** Longest current chain, scanned at read time so the
+     *  stats.kv.max_chain gauge adds no store to the op paths (racy
+     *  snapshot: chains may change during the scan). */
+    uint64_t
+    maxChain() const
+    {
+        uint64_t n = chain_len ? buckets.load(std::memory_order_relaxed) : 0;
+        uint64_t m = 0;
+        for (uint64_t b = 0; b < n; ++b) {
+            uint64_t len = chain_len[b].load(std::memory_order_relaxed);
+            m = len > m ? len : m;
+        }
+        return m;
+    }
 };
 
 } // namespace nvalloc

@@ -51,19 +51,11 @@ struct NvInstance
 };
 
 NvInstance *
-nvalloc_init(PmDevice *dev, const NvAllocOptions *opts)
+nvalloc_init(PmDevice *dev)
 {
-    // Deprecated path: keeps the historical "always returns an
-    // instance" contract (a corrupt image yields a degraded heap with
-    // no out-of-band signal beyond nvalloc_errno).
-    NvAllocConfig cfg;
-    if (opts) {
-        cfg.consistency =
-            opts->gc_variant ? Consistency::Gc : Consistency::Log;
-        cfg.bit_stripes = opts->bit_stripes;
-        cfg.slab_morphing = opts->slab_morphing;
-    }
-    return new NvInstance(NvAlloc::openOrDie(*dev, cfg));
+    // The default config always validates, so openOrDie cannot die
+    // here; a corrupt image still yields a (degraded) instance.
+    return new NvInstance(NvAlloc::openOrDie(*dev));
 }
 
 namespace {
@@ -128,16 +120,8 @@ optionsToConfig(const nvalloc_options *opts, NvAllocConfig &cfg)
     }
 
     if (opts->version >= 4) {
-        switch (opts->fastpath) {
-        case NVALLOC_FASTPATH_LOCKED:
-            cfg.fastpath = FastPathMode::Locked;
-            break;
-        case NVALLOC_FASTPATH_LOCKFREE:
-            cfg.fastpath = FastPathMode::LockFree;
-            break;
-        default:
+        if (opts->fastpath != NVALLOC_FASTPATH_LOCKFREE)
             return NVALLOC_EINVAL;
-        }
         cfg.fastpath_regions = opts->fastpath_regions;
         cfg.fastpath_batch = opts->fastpath_batch;
     }

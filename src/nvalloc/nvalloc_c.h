@@ -26,28 +26,18 @@ struct ThreadCtx;
 
 struct NvInstance; //!< opaque
 
-/** Options for the original nvalloc_init() entry point (deprecated —
- *  unversioned, so it can never grow; new code uses nvalloc_options
- *  and nvalloc_open_ex below). */
-struct NvAllocOptions
-{
-    bool gc_variant = false;   //!< NVAlloc-GC instead of NVAlloc-LOG
-    unsigned bit_stripes = 6;
-    bool slab_morphing = true;
-};
-
 /** Current nvalloc_options layout revision. */
 #define NVALLOC_OPTIONS_VERSION 4u
 
-/** Small-allocation fast-path modes for nvalloc_options.fastpath. */
-enum NvFastPathMode
+/** Small-allocation engine for nvalloc_options.fastpath. Only the
+ *  lock-free engine exists; the field stays so the v4 layout is
+ *  unchanged, and any other value (0 was the retired locked mode) is
+ *  rejected with NVALLOC_EINVAL. */
+enum
 {
-    NVALLOC_FASTPATH_LOCKED = 0,   //!< every alloc/free takes the
-                                   //!< arena lock (pre-v4 behaviour;
-                                   //!< escape hatch)
     NVALLOC_FASTPATH_LOCKFREE = 1, //!< per-core regions + atomic
                                    //!< bitfields; no mutex on the hit
-                                   //!< path (default)
+                                   //!< path
 };
 
 /** Hardening policies for nvalloc_options.hardening_policy: what to
@@ -103,7 +93,7 @@ struct nvalloc_options
                                  //!< (forced on for named/pool opens)
     uint64_t capacity_quota_bytes; //!< per-tenant extent quota; 0 = off
     /* -- version 4 fields (lock-free fast path, PR 9) -------------- */
-    int fastpath;                //!< an NvFastPathMode value
+    int fastpath;                //!< NVALLOC_FASTPATH_LOCKFREE
     unsigned fastpath_regions;   //!< per-core region slots per size
                                  //!< class, [1,8]
     unsigned fastpath_batch;     //!< blocks claimed per lock-free
@@ -146,12 +136,12 @@ enum NvErrno
     NVALLOC_ECORRUPT, //!< metadata failed validation; heap degraded
 };
 
-/** Create (or recover) an NVAlloc heap on `dev`. Deprecated in favor
- *  of nvalloc_open_ex(), which validates its options and reports
- *  *why* an open failed instead of returning a silently degraded
- *  instance. */
-NvInstance *nvalloc_init(PmDevice *dev,
-                         const NvAllocOptions *opts = nullptr);
+/** Create (or recover) an NVAlloc-LOG heap on `dev` with the default
+ *  options (the paper's §4.1 entry point). Always returns an instance;
+ *  a corrupt image yields a degraded one, reported only through
+ *  nvalloc_errno. nvalloc_open_ex() is the options path, and it
+ *  reports *why* an open failed. */
+NvInstance *nvalloc_init(PmDevice *dev);
 
 /**
  * Versioned open. On success stores the new instance in *out and
@@ -160,13 +150,13 @@ NvInstance *nvalloc_init(PmDevice *dev,
  *
  *  - NVALLOC_EINVAL: `dev`, `opts` or `out` is null, opts->version is
  *    0 or newer than this library, or an option value fails
- *    validation (bad bit_stripes, maintenance knobs out of range, an
- *    unknown fastpath mode, fastpath_regions outside [1,8], or
- *    fastpath_batch outside [1,512]). *out is untouched and the
- *    device was not modified. Callers compiled against v1/v2/v3
- *    headers are still accepted: fields their revision did not define
- *    are never read and take this library's defaults (fastpath
- *    defaults to NVALLOC_FASTPATH_LOCKFREE).
+ *    validation (bad bit_stripes, maintenance knobs out of range, a
+ *    fastpath other than NVALLOC_FASTPATH_LOCKFREE, fastpath_regions
+ *    outside [1,8], or fastpath_batch outside [1,512]). *out is
+ *    untouched and the device was not modified. Callers compiled
+ *    against v1/v2/v3 headers are still accepted: fields their
+ *    revision did not define are never read and take this library's
+ *    defaults.
  *  - NVALLOC_ECORRUPT: the heap image failed validation. *out
  *    receives a *degraded* instance: allocation calls fail with
  *    NVALLOC_ECORRUPT, but nvalloc_ctl / nvalloc_stats_json /

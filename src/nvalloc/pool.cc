@@ -7,45 +7,6 @@
 
 namespace nvalloc {
 
-bool
-HeapPool::sameConfig(const NvAllocConfig &a, const NvAllocConfig &b)
-{
-    return a.consistency == b.consistency &&
-           a.interleaved_bitmap == b.interleaved_bitmap &&
-           a.interleaved_tcache == b.interleaved_tcache &&
-           a.interleaved_wal == b.interleaved_wal &&
-           a.interleaved_log == b.interleaved_log &&
-           a.bit_stripes == b.bit_stripes &&
-           a.dynamic_stripes == b.dynamic_stripes &&
-           a.slab_morphing == b.slab_morphing &&
-           a.morph_threshold == b.morph_threshold &&
-           a.log_bookkeeping == b.log_bookkeeping &&
-           a.num_arenas == b.num_arenas &&
-           a.tcache_slots == b.tcache_slots &&
-           a.log_file_bytes == b.log_file_bytes &&
-           a.log_gc_threshold == b.log_gc_threshold &&
-           a.decay_window_ns == b.decay_window_ns &&
-           a.flush_enabled == b.flush_enabled &&
-           a.telemetry == b.telemetry &&
-           a.trace_ring_capacity == b.trace_ring_capacity &&
-           a.verify_recovery_checksums == b.verify_recovery_checksums &&
-           a.maintenance_mode == b.maintenance_mode &&
-           a.maintenance_slice_ns == b.maintenance_slice_ns &&
-           a.maintenance_wake_fraction == b.maintenance_wake_fraction &&
-           a.maintenance_interval_ms == b.maintenance_interval_ms &&
-           a.maintenance_scrub_lines == b.maintenance_scrub_lines &&
-           a.hardened_free == b.hardened_free &&
-           a.guard_sample_rate == b.guard_sample_rate &&
-           a.redzone_canaries == b.redzone_canaries &&
-           a.quarantine_depth == b.quarantine_depth &&
-           a.hardening_policy == b.hardening_policy &&
-           a.patrol_scrub == b.patrol_scrub &&
-           a.patrol_items == b.patrol_items &&
-           a.patrol_retries == b.patrol_retries &&
-           a.fault_containment == b.fault_containment &&
-           a.capacity_quota_bytes == b.capacity_quota_bytes;
-}
-
 void
 HeapPool::installHook(const std::string &name, NvAlloc *heap)
 {
@@ -99,7 +60,7 @@ HeapPool::open(const std::string &name, PmDevice &dev, NvAllocConfig cfg)
     auto it = members_.find(name);
     if (it != members_.end()) {
         MemberResult res;
-        if (!sameConfig(it->second.cfg, cfg)) {
+        if (it->second.cfg != cfg) {
             // Not silent first-wins: refuse, and record the refusal on
             // the existing member's sticky status so errno-style
             // probes (nvalloc_errno) observe the mismatch.
@@ -242,7 +203,7 @@ HeapPool::healthJson() const
         out += '"';
         out += name; // member names come from code, not hostile input
         out += "\":";
-        out += m.heap->healthJson();
+        out += m.heap->ctl().json({"stats.health", "stats.scrub"});
     }
     out += "},\"stats\":{\"opens\":";
     out += std::to_string(stats_.opens.load(std::memory_order_relaxed));

@@ -139,8 +139,9 @@ class HeapPool
     /** Health snapshot of every member. */
     std::vector<MemberHealth> snapshot() const;
 
-    /** {"members":{name: <healthJson>, ...}, "stats":{...}} for
-     *  nvalloc_stat --health and nvalloc_fsck --pool. */
+    /** {"members":{name:{"stats":{"health":{...},"scrub":{...}}},
+     *  ...},"stats":{...}}: each member's stats.health and stats.scrub
+     *  ctl subtrees plus the pool counters, for nvalloc_fsck --pool. */
     std::string healthJson() const;
 
     const Stats &stats() const { return stats_; }
@@ -152,10 +153,6 @@ class HeapPool
         NvAllocConfig cfg; //!< normalized config the member opened with
         std::unique_ptr<NvAlloc> heap;
     };
-
-    /** Field-wise config identity (no operator== on the aggregate:
-     *  padding makes memcmp a lie). */
-    static bool sameConfig(const NvAllocConfig &a, const NvAllocConfig &b);
 
     void installHook(const std::string &name, NvAlloc *heap);
 

@@ -315,6 +315,10 @@ NvAlloc::buildCtlRegistry()
     ctl_.registerName("stats.hardening.quarantine_depth", [this] {
         return uint64_t(hardening_.quarantineDepth());
     });
+    ctl_.registerName("stats.hardening.guard_live",
+                      [this] { return hardening_.guardLive(); });
+    ctl_.registerName("stats.hardening.guard_watched",
+                      [this] { return hardening_.guardWatched(); });
     ctl_.registerName("stats.hardening.tx_staged_frees", [hs] {
         return hs->tx_staged_frees.load(std::memory_order_relaxed);
     });
@@ -415,6 +419,10 @@ NvAlloc::buildCtlRegistry()
         ctl_.registerName("stats.kv.value_bytes",
                           kv(&KvStats::value_bytes));
         ctl_.registerName("stats.kv.buckets", kv(&KvStats::buckets));
+        ctl_.registerName("stats.kv.max_chain", [this]() -> uint64_t {
+            const KvStats *s = kvStats();
+            return s ? s->maxChain() : 0;
+        });
         ctl_.registerName("stats.kv.rebuilds", kv(&KvStats::rebuilds));
         ctl_.registerName("stats.kv.rebuilt_records",
                           kv(&KvStats::rebuilt_records));
@@ -455,7 +463,7 @@ NvAlloc::ctlRead(const char *name, uint64_t *out)
     std::call_once(ctl_once_, [this] { buildCtlRegistry(); });
     // "maintenance.<action>" names are commands, not statistics: they
     // are dispatched here instead of being registered, because registry
-    // readers must be side-effect free (forEach/json invoke them all).
+    // readers must be side-effect free (json() invokes them all).
     static const char kMaintPrefix[] = "maintenance.";
     if (name && std::strncmp(name, kMaintPrefix,
                              sizeof(kMaintPrefix) - 1) == 0) {
@@ -493,39 +501,9 @@ NvAlloc::ctlRead(const char *name, uint64_t *out)
 }
 
 std::string
-NvAlloc::statsJson()
+NvAlloc::statsJson(std::string_view prefix)
 {
-    std::call_once(ctl_once_, [this] { buildCtlRegistry(); });
-    return ctl_.json();
-}
-
-std::string
-NvAlloc::fastpathJson() const
-{
-    // Compact standalone snapshot for nvalloc_stat --fastpath and
-    // nvalloc_fsck --json; mirrors the stats.fastpath.* registry
-    // names.
-    const FastPathStats &s = fp_stats_;
-    auto rd = [](const std::atomic<uint64_t> &c) {
-        return c.load(std::memory_order_relaxed);
-    };
-    std::string out = "{";
-    auto field = [&out](const char *k, uint64_t v, bool last = false) {
-        out += "\"";
-        out += k;
-        out += "\":";
-        out += std::to_string(v);
-        if (!last)
-            out += ",";
-    };
-    field("reserve_hits", rd(s.reserve_hits));
-    field("reserve_misses", rd(s.reserve_misses));
-    field("cas_retries", rd(s.cas_retries));
-    field("region_steals", rd(s.region_steals));
-    field("refill_searches", rd(s.refill_searches));
-    field("locked_fallbacks", rd(s.locked_fallbacks), true);
-    out += "}";
-    return out;
+    return ctl().json(prefix);
 }
 
 } // namespace nvalloc

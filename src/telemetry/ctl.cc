@@ -27,6 +27,17 @@ splitName(std::string_view name)
     }
 }
 
+/** Whole-component prefix match: "stats.flush" covers "stats.flush"
+ *  and "stats.flush.total", never "stats.flushes". An empty prefix
+ *  covers everything. */
+bool
+underPrefix(std::string_view name, std::string_view prefix)
+{
+    return prefix.empty() ||
+           (name.starts_with(prefix) &&
+            (name.size() == prefix.size() || name[prefix.size()] == '.'));
+}
+
 } // namespace
 
 void
@@ -66,40 +77,30 @@ std::vector<std::string>
 CtlRegistry::names(std::string_view prefix) const
 {
     std::vector<std::string> out;
-    if (prefix.empty()) {
-        for (const auto &[name, reader] : entries_)
+    for (const auto &[name, reader] : entries_)
+        if (underPrefix(name, prefix))
             out.push_back(name);
-        return out;
-    }
-    for (auto it = entries_.lower_bound(prefix); it != entries_.end();
-         ++it) {
-        const std::string &name = it->first;
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            break;
-        // Whole-component match: the prefix must be the full name or
-        // be followed by a dot.
-        if (name.size() > prefix.size() && name[prefix.size()] != '.')
-            continue;
-        out.push_back(name);
-    }
     return out;
 }
 
-void
-CtlRegistry::forEach(
-    const std::function<void(const std::string &, uint64_t)> &fn) const
+std::string
+CtlRegistry::json(std::string_view prefix) const
 {
-    for (const auto &[name, reader] : entries_)
-        fn(name, reader());
+    return json({prefix});
 }
 
 std::string
-CtlRegistry::json() const
+CtlRegistry::json(std::initializer_list<std::string_view> prefixes) const
 {
     JsonWriter w;
     w.beginObject();
     std::vector<std::string_view> open; // interior nodes currently open
     for (const auto &[name, reader] : entries_) {
+        bool wanted = false;
+        for (std::string_view p : prefixes)
+            wanted |= underPrefix(name, p);
+        if (!wanted)
+            continue;
         std::vector<std::string_view> parts = splitName(name);
         size_t interior = parts.size() - 1;
         size_t common = 0;

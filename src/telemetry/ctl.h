@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -59,16 +60,18 @@ class CtlRegistry
      *  "stats.flushes". */
     std::vector<std::string> names(std::string_view prefix = {}) const;
 
-    /** Visit every (name, current value), sorted by name. */
-    void forEach(
-        const std::function<void(const std::string &, uint64_t)> &fn)
-        const;
-
     /**
-     * Serialize the whole tree as nested JSON objects, splitting
-     * names on dots: {"stats":{"flush":{"total":123,...},...}}.
+     * Serialize the leaves under `prefix` as nested JSON objects,
+     * splitting names on dots: {"stats":{"flush":{"total":123,...}}}.
+     * The prefix matches whole components, as in names(); an empty
+     * prefix serializes the whole tree and an unmatched one yields {}.
+     * Leaves keep their full path, so a filtered document is a
+     * subtree of the whole one.
      */
-    std::string json() const;
+    std::string json(std::string_view prefix = {}) const;
+
+    /** As json(prefix), over the union of several prefixes' leaves. */
+    std::string json(std::initializer_list<std::string_view> prefixes) const;
 
   private:
     std::map<std::string, Reader, std::less<>> entries_;

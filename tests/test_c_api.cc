@@ -37,9 +37,11 @@ TEST(CApi, InitMallocFreeExit)
 TEST(CApi, GcVariantOption)
 {
     PmDevice dev;
-    NvAllocOptions opts;
-    opts.gc_variant = true;
-    NvInstance *inst = nvalloc_init(&dev, &opts);
+    nvalloc_options opts;
+    nvalloc_options_init(&opts);
+    opts.gc_variant = 1;
+    NvInstance *inst = nullptr;
+    ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
     EXPECT_EQ(nvalloc_impl(inst)->config().consistency,
               Consistency::Gc);
     nvalloc_exit(inst);
@@ -267,8 +269,11 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
     NvInstance *sentinel = reinterpret_cast<NvInstance *>(0x1);
     NvInstance *out = sentinel;
 
-    // v4 misuse: unknown mode and out-of-range knobs are EINVAL.
-    opts.fastpath = 7; // not an NvFastPathMode
+    // v4 misuse: any engine but the lock-free one (0 was the retired
+    // locked mode) and out-of-range knobs are EINVAL.
+    opts.fastpath = 7;
+    EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
+    opts.fastpath = 0;
     EXPECT_EQ(nvalloc_open_ex(&dev, &opts, &out), NVALLOC_EINVAL);
     nvalloc_options_init(&opts);
     opts.fastpath_regions = 0;
@@ -291,32 +296,27 @@ TEST(CApiOpenEx, FastPathOptionsV4Contract)
     opts.fastpath_batch = 0;
     NvInstance *inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath,
-              FastPathMode::LockFree);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_regions, 2u);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_batch, 24u);
     nvalloc_exit(inst);
 
-    // The v4 escape hatch maps through, and the fastpath ctl leaves
-    // are reachable through the C veneer.
+    // The v4 knobs map through, and the fastpath ctl leaves are
+    // reachable through the C veneer.
     PmDevice dev2;
     nvalloc_options_init(&opts);
-    opts.fastpath = NVALLOC_FASTPATH_LOCKED;
     opts.fastpath_regions = 4;
     opts.fastpath_batch = 64;
     inst = nullptr;
     ASSERT_EQ(nvalloc_open_ex(&dev2, &opts, &inst), NVALLOC_OK);
-    EXPECT_EQ(nvalloc_impl(inst)->config().fastpath,
-              FastPathMode::Locked);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_regions, 4u);
     EXPECT_EQ(nvalloc_impl(inst)->config().fastpath_batch, 64u);
     uint64_t *root = nvalloc_root(inst, 0);
     ASSERT_NE(nvalloc_malloc_to(inst, 96, root), nullptr);
     EXPECT_EQ(nvalloc_free_from(inst, root), NVALLOC_OK);
-    uint64_t v = 1;
-    EXPECT_EQ(nvalloc_ctl(inst, "stats.fastpath.reserve_hits", &v),
+    uint64_t v = 0;
+    EXPECT_EQ(nvalloc_ctl(inst, "stats.fastpath.reserve_misses", &v),
               NVALLOC_OK);
-    EXPECT_EQ(v, 0u) << "locked mode must take no reservations";
+    EXPECT_GT(v, 0u) << "the first refill consults the empty regions";
     nvalloc_exit(inst);
 }
 
@@ -735,6 +735,15 @@ TEST(CApiPool, NamedOpenOptionsMismatchIsEinvalNeverFirstWins)
 
     // The existing member records the refused open, errno style.
     EXPECT_EQ(nvalloc_errno(first), NVALLOC_EINVAL);
+
+    // A v4-only difference is a different configuration too.
+    nvalloc_options_init(&other);
+    other.fastpath_batch = 64;
+    other.fastpath_regions = 4;
+    EXPECT_EQ(nvalloc_open_named(&dev, "capi-mismatch", &other, &out),
+              NVALLOC_EINVAL);
+    EXPECT_EQ(out, sentinel) << "*out must be untouched on EINVAL";
+    other.gc_variant = 1;
 
     // ...and is otherwise unharmed: still serving, still allocating.
     EXPECT_EQ(nvalloc_health(first), NVALLOC_HEALTH_SERVING);

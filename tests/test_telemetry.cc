@@ -2,15 +2,18 @@
  * @file
  * Tests of the telemetry subsystem: the ctl registry, the event ring,
  * the sharded counter aggregation under concurrency, and the NvAlloc
- * integration (ctlRead, statsJson, tracing, DegradedStats exposure).
+ * integration (ctlRead, statsJson, tracing, DegradedStats exposure,
+ * the hardening and KV gauges).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "kv/kv_store.h"
 #include "nvalloc/nvalloc.h"
 #include "telemetry/ctl.h"
 #include "telemetry/event_ring.h"
@@ -66,6 +69,27 @@ TEST(CtlRegistry, JsonNestsDottedNames)
     reg.registerName("s.a.y", [] { return uint64_t{2}; });
     reg.registerName("s.b", [] { return uint64_t{3}; });
     EXPECT_EQ(reg.json(), R"({"s":{"a":{"x":1,"y":2},"b":3}})");
+}
+
+TEST(CtlRegistry, JsonPrefixMatchesWholeComponents)
+{
+    CtlRegistry reg;
+    reg.registerName("stats.flush.total", [] { return uint64_t{1}; });
+    reg.registerName("stats.flushes", [] { return uint64_t{2}; });
+    reg.registerName("stats.tx.begins", [] { return uint64_t{3}; });
+
+    EXPECT_EQ(reg.json("stats.flush"),
+              R"({"stats":{"flush":{"total":1}}})")
+        << "\"stats.flushes\" shares the string prefix but not the "
+           "component";
+    EXPECT_EQ(reg.json("stats.flushes"), R"({"stats":{"flushes":2}})")
+        << "exact leaf matches its own prefix";
+    EXPECT_EQ(reg.json(""), reg.json());
+    EXPECT_EQ(reg.json("stats"), reg.json());
+    EXPECT_EQ(reg.json("stats.nope"), "{}");
+    EXPECT_EQ(reg.json("stats.fl"), "{}") << "no partial components";
+    EXPECT_EQ(reg.json({"stats.flush", "stats.tx"}),
+              R"({"stats":{"flush":{"total":1},"tx":{"begins":3}}})");
 }
 
 // ---------------------------------------------------------------------
@@ -395,6 +419,95 @@ TEST_F(TelemetryHeap, ConfigDisableZeroesEverything)
         << "the tree still answers";
     EXPECT_EQ(v, 0u) << "but counters never move";
     quiet.detachThread(ctx);
+}
+
+TEST_F(TelemetryHeap, PrefixSnapshotIsASubtreeOfTheWhole)
+{
+    std::string tx = alloc_->statsJson("stats.tx");
+    EXPECT_EQ(tx.rfind("{\"stats\":{\"tx\":{", 0), 0u) << tx;
+    EXPECT_NE(tx.find("\"begins\":0"), std::string::npos) << tx;
+    EXPECT_EQ(tx.find("flush"), std::string::npos) << tx;
+    EXPECT_EQ(alloc_->statsJson(""), alloc_->statsJson());
+    EXPECT_EQ(alloc_->statsJson("stats.no_such_family"), "{}");
+}
+
+TEST(TelemetryGauges, GuardLiveAndWatchedTrackGuardExtents)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    NvAllocConfig cfg;
+    cfg.guard_sample_rate = 4;
+    auto alloc = NvAlloc::openOrDie(dev, cfg);
+    ThreadCtx *ctx = alloc->attachThread();
+    ASSERT_NE(ctx, nullptr);
+    auto ctl = [&](const char *name) {
+        uint64_t v = ~0ull;
+        EXPECT_EQ(alloc->ctlRead(name, &v), NvStatus::Ok) << name;
+        return v;
+    };
+
+    std::vector<uint64_t> guards;
+    for (int i = 0; i < 32; ++i) {
+        uint64_t off = alloc->allocOffset(*ctx, 64, nullptr);
+        ASSERT_NE(off, 0u);
+        if (alloc->hardening().isGuard(off))
+            guards.push_back(off);
+    }
+    ASSERT_GE(guards.size(), 3u) << "1-in-4 sampling guards some blocks";
+    EXPECT_EQ(ctl("stats.hardening.guard_live"), guards.size());
+    EXPECT_EQ(ctl("stats.hardening.guard_live"),
+              ctl("stats.hardening.guard_allocs"));
+    EXPECT_EQ(ctl("stats.hardening.guard_watched"), 0u);
+
+    // A freed guard leaves the live map for the use-after-free watch.
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_EQ(alloc->freeOffset(*ctx, guards[i], nullptr),
+                  NvStatus::Ok);
+    }
+    EXPECT_EQ(ctl("stats.hardening.guard_live"), guards.size() - 2);
+    EXPECT_EQ(ctl("stats.hardening.guard_watched"), 2u);
+    alloc->detachThread(ctx);
+}
+
+TEST(TelemetryGauges, KvMaxChainMatchesTheStore)
+{
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    PmDevice dev(dcfg);
+    auto alloc = NvAlloc::openOrDie(dev);
+    uint64_t v = ~0ull;
+    ASSERT_EQ(alloc->ctlRead("stats.kv.max_chain", &v), NvStatus::Ok);
+    EXPECT_EQ(v, 0u) << "no store mounted";
+
+    KvOptions ko;
+    ko.buckets = 16; // few buckets: chains several records long
+    KvStatus why = KvStatus::Ok;
+    auto kv = KvStore::open(*alloc, ko, &why);
+    ASSERT_NE(kv, nullptr) << kvStatusName(why);
+    ThreadCtx *ctx = alloc->attachThread();
+    ASSERT_NE(ctx, nullptr);
+    for (int i = 0; i < 200; ++i) {
+        std::string key = "k" + std::to_string(i);
+        ASSERT_EQ(kv->put(*ctx, key, "value"), KvStatus::Ok);
+        if (i % 3 == 0) {
+            ASSERT_EQ(kv->put(*ctx, key, "updated"), KvStatus::Ok);
+        }
+        if (i % 4 == 0) {
+            ASSERT_EQ(kv->erase(*ctx, key), KvStatus::Ok);
+        }
+    }
+    ASSERT_EQ(alloc->ctlRead("stats.kv.max_chain", &v), NvStatus::Ok);
+    EXPECT_EQ(v, kv->maxChain());
+    EXPECT_GE(v, 150u / 16) << "150 records over 16 buckets";
+    EXPECT_NE(alloc->statsJson("stats.kv").find("\"max_chain\":" +
+                                                std::to_string(v)),
+              std::string::npos);
+    alloc->detachThread(ctx);
+
+    kv.reset();
+    ASSERT_EQ(alloc->ctlRead("stats.kv.max_chain", &v), NvStatus::Ok);
+    EXPECT_EQ(v, 0u) << "the gauge detaches with the store";
 }
 
 TEST_F(TelemetryHeap, EveryRegisteredNameIsReadable)

@@ -30,6 +30,7 @@
 #include <cstring>
 
 #include "chaos_harness.h"
+#include "cli_args.h"
 #include "pool_chaos_harness.h"
 
 using namespace nvalloc;
@@ -69,25 +70,17 @@ parseArgs(int argc, char **argv, ChaosOptions &o, bool &pool)
         } else if (a == "--verbose") {
             o.verbose = true;
         } else if (a == "--rounds") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.rounds))
                 return false;
-            o.rounds = unsigned(std::strtoul(v, nullptr, 0));
         } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.seed))
                 return false;
-            o.seed = std::strtoull(v, nullptr, 0);
         } else if (a == "--ops") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.ops_per_round))
                 return false;
-            o.ops_per_round = unsigned(std::strtoul(v, nullptr, 0));
         } else if (a == "--device-mb") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.device_mb))
                 return false;
-            o.device_mb = std::strtoul(v, nullptr, 0);
         } else if (a == "--policy") {
             const char *v = next();
             if (!v)

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
 #include "nvalloc/pool.h"
@@ -112,20 +113,14 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (a == "--pool") {
             o.pool = true;
         } else if (a == "--poison-free") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.poison_free))
                 return false;
-            o.poison_free = unsigned(std::strtoul(v, nullptr, 0));
         } else if (a == "--device-mb") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.device_mb))
                 return false;
-            o.device_mb = std::strtoul(v, nullptr, 0);
         } else if (a == "--ops") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.ops))
                 return false;
-            o.ops = unsigned(std::strtoul(v, nullptr, 0));
         } else {
             return false;
         }
@@ -267,7 +262,6 @@ poolMain(const Options &o)
         members += kNames[i];
         members += "\":{\"clean\":";
         members += rep.clean() ? "true" : "false";
-        members += ",\"health\":" + std::string(h->healthJson());
         members += ",\"audit\":" + rep.json() + "}";
         if (text)
             std::printf("fsck: %s: %s, health=%s\n", kNames[i],
@@ -331,8 +325,8 @@ main(int argc, char **argv)
     }
 
     // Exercise the transaction layer on the reporting instance so the
-    // report's "tx" object reflects live counters: one committed and
-    // one aborted group. Both close before the audit runs, so no
+    // report's stats.tx.* counters are live: one committed and one
+    // aborted group. Both close before the audit runs, so no
     // staged state leaks into the checks.
     {
         ThreadCtx *tctx = alloc.attachThread();
@@ -418,9 +412,6 @@ main(int argc, char **argv)
         if (!repair_json.empty())
             doc += ",\"repair\":" + repair_json +
                    ",\"final_audit\":" + rep.json();
-        doc += ",\"tx\":" + alloc.txJson();
-        doc += ",\"hardening\":" + alloc.hardening().json();
-        doc += ",\"fastpath\":" + alloc.fastpathJson();
         doc += ",\"stats\":" + alloc.statsJson() + "}";
         std::printf("%s\n", doc.c_str());
         return verdict(initial_clean, rep.clean());

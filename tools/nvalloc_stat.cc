@@ -8,13 +8,17 @@
  * smoke test for the introspection API (every registered name is
  * readable) and a discovery aid: `--list` enumerates the tree,
  * `--ctl NAME` reads one leaf exactly as an embedding application
- * would via nvalloc_ctl().
+ * would via nvalloc_ctl(). The tree is the only report: section flags
+ * (--tx, --health, --hardening, --kv) shape the workload so their
+ * stats.* subtree is populated, and --prefix narrows the table or the
+ * one JSON document to a subtree.
  *
- * Exit status: 0 = ok, 1 = unknown ctl name, 2 = usage error or the
- * heap refused to open.
+ * Exit status: 0 = ok, 1 = unknown ctl name or no name under the
+ * prefix, 2 = usage error or the heap refused to open.
  *
  *   nvalloc_stat                      # full name/value table
  *   nvalloc_stat --json               # whole-heap JSON snapshot
+ *   nvalloc_stat --tx --json --prefix stats.tx
  *   nvalloc_stat --ctl stats.alloc.small
  *   nvalloc_stat --list stats.arena.0
  *   nvalloc_stat --reopen --trace 64  # recovery stats + event trace
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "kv/kv_store.h"
 #include "nvalloc/nvalloc.h"
 
@@ -42,15 +47,14 @@ struct Options
     bool list = false;
     bool reopen = false; //!< dirty-restart + recover before reporting
     bool hardening = false; //!< full hardening + hostile-free traffic
-    bool tx = false;        //!< transactional traffic + tx section
-    bool health = false;    //!< patrol-scrub + health report section
-    bool kv = false;        //!< KV service traffic + stats.kv section
-    bool fastpath = false;  //!< stats.fastpath report section
+    bool tx = false;        //!< committed + aborted transactions
+    bool health = false;    //!< one full patrol-scrub pass
+    bool kv = false;        //!< KV service traffic
     size_t trace = 0;    //!< per-thread event-ring capacity
     size_t device_mb = 256;
     unsigned ops = 20000;
     MaintenanceMode maintenance = MaintenanceMode::Off;
-    std::string prefix;       //!< --list filter
+    std::string prefix;       //!< --prefix / --list subtree filter
     std::vector<std::string> ctls; //!< --ctl names, in order
     std::vector<std::string> maint_actions; //!< --maint, in order
 };
@@ -66,26 +70,22 @@ usage(const char *argv0)
         "  --device-mb N  emulated device size in MB (default 256)\n"
         "  --ops N        workload operations before reporting\n"
         "  --reopen       dirty-restart and recover before reporting\n"
-        "  --hardening    enable canaries/quarantine/guard sampling,\n"
-        "                 mix hostile frees into the workload, and\n"
-        "                 append the hardening report section\n"
+        "  --hardening    enable canaries/quarantine/guard sampling\n"
+        "                 and mix hostile frees into the workload\n"
+        "                 (populates stats.hardening.*)\n"
         "  --tx           group part of the workload into committed\n"
-        "                 and aborted transactions and append the\n"
-        "                 stats.tx report section\n"
+        "                 and aborted transactions (stats.tx.*)\n"
         "  --health       run a full patrol-scrub pass after the\n"
-        "                 workload and append the health report\n"
-        "                 (state, escalations, stats.scrub.*)\n"
-        "  --kv           open the KV service on the heap, run mixed\n"
-        "                 put/get/erase traffic, and append the\n"
-        "                 stats.kv report section (LOG variant only)\n"
-        "  --fastpath     append the lock-free small-path report\n"
-        "                 (reservation hits/misses, CAS retries,\n"
-        "                 region steals, refill searches)\n"
+        "                 workload (stats.health.*, stats.scrub.*)\n"
+        "  --kv           open the KV service on the heap and run\n"
+        "                 mixed put/get/erase traffic (stats.kv.*;\n"
+        "                 LOG variant only)\n"
         "  --trace N      arm per-thread event rings of N events and\n"
         "                 dump the merged trace\n"
         "  --ctl NAME     read one ctl leaf (repeatable)\n"
         "  --list [PFX]   list registered ctl names (under PFX)\n"
-        "  --json         whole-heap JSON snapshot\n"
+        "  --prefix PFX   report only the subtree under PFX\n"
+        "  --json         the report as one JSON document\n"
         "  --maintenance M  background maintenance: off|manual|thread\n"
         "                 (manual steps a slice every 512 workload ops)\n"
         "  --maint A      run a maintenance action after the workload:\n"
@@ -117,34 +117,31 @@ parseArgs(int argc, char **argv, Options &o)
             o.health = true;
         } else if (a == "--kv") {
             o.kv = true;
-        } else if (a == "--fastpath") {
-            o.fastpath = true;
         } else if (a == "--list") {
             o.list = true;
             // Optional prefix: consume the next token unless it is
             // another flag.
             if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
                 o.prefix = argv[++i];
+        } else if (a == "--prefix") {
+            const char *v = next();
+            if (!v)
+                return false;
+            o.prefix = v;
         } else if (a == "--ctl") {
             const char *v = next();
             if (!v)
                 return false;
             o.ctls.push_back(v);
         } else if (a == "--trace") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.trace))
                 return false;
-            o.trace = std::strtoul(v, nullptr, 0);
         } else if (a == "--device-mb") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.device_mb))
                 return false;
-            o.device_mb = std::strtoul(v, nullptr, 0);
         } else if (a == "--ops") {
-            const char *v = next();
-            if (!v)
+            if (!parseCount(next(), o.ops))
                 return false;
-            o.ops = unsigned(std::strtoul(v, nullptr, 0));
         } else if (a == "--maintenance") {
             const char *v = next();
             if (!v)
@@ -388,9 +385,14 @@ main(int argc, char **argv)
         }
     }
 
+    const CtlRegistry &ctl = alloc.ctl();
     int rc = 0;
-    if (o.list) {
-        for (const std::string &name : alloc.ctl().names(o.prefix))
+    if (o.ctls.empty() && ctl.names(o.prefix).empty()) {
+        std::fprintf(stderr, "stat: no ctl name under: %s\n",
+                     o.prefix.c_str());
+        rc = 1;
+    } else if (o.list) {
+        for (const std::string &name : ctl.names(o.prefix))
             std::printf("%s\n", name.c_str());
     } else if (!o.ctls.empty()) {
         for (const std::string &name : o.ctls) {
@@ -405,44 +407,14 @@ main(int argc, char **argv)
                         (unsigned long long)v);
         }
     } else if (o.json) {
-        std::printf("%s\n", alloc.statsJson().c_str());
+        std::printf("%s\n", alloc.statsJson(o.prefix).c_str());
     } else {
-        alloc.ctl().forEach([](const std::string &name, uint64_t v) {
+        for (const std::string &name : ctl.names(o.prefix)) {
+            uint64_t v = 0;
+            ctl.read(name, v);
             std::printf("%-40s %llu\n", name.c_str(),
                         (unsigned long long)v);
-        });
-    }
-
-    if (o.hardening) {
-        if (o.json)
-            std::printf("%s\n", alloc.hardening().json().c_str());
-        else
-            std::printf("hardening: %s\n",
-                        alloc.hardening().json().c_str());
-    }
-    if (o.tx) {
-        if (o.json)
-            std::printf("%s\n", alloc.txJson().c_str());
-        else
-            std::printf("tx: %s\n", alloc.txJson().c_str());
-    }
-    if (o.health) {
-        if (o.json)
-            std::printf("%s\n", alloc.healthJson().c_str());
-        else
-            std::printf("health: %s\n", alloc.healthJson().c_str());
-    }
-    if (o.fastpath) {
-        if (o.json)
-            std::printf("%s\n", alloc.fastpathJson().c_str());
-        else
-            std::printf("fastpath: %s\n", alloc.fastpathJson().c_str());
-    }
-    if (kv) {
-        if (o.json)
-            std::printf("%s\n", kv->json().c_str());
-        else
-            std::printf("kv: %s\n", kv->json().c_str());
+        }
     }
 
     if (o.trace > 0 && !o.json)
