@@ -8,9 +8,10 @@
  * and reflush latency is 3x/7x the random/sequential write latency.
  * These benchmarks measure the *virtual* cost the model charges per
  * flush for each access pattern and report it as the `vns_per_flush`
- * counter. BM_FlushFenceHostCost measures the other clock: the host
- * cost of the model code itself, per flush+fence, as threads are
- * added.
+ * counter. BM_FlushFenceHostCost and BM_XpBufferMissHostCost measure
+ * the other clock: the host cost of the model code itself, per
+ * flush+fence as threads are added, and per flush that misses a full
+ * XPBuffer.
  */
 
 #include <benchmark/benchmark.h>
@@ -138,9 +139,43 @@ BM_FlushFenceHostCost(benchmark::State &state)
         dev.reset();
 }
 
+/**
+ * Host cost of a flush that misses a full XPBuffer. The flushes walk
+ * 4096 distinct XPLines in a scattered full-period order, so each
+ * XPLine comes back only after 4095 others, far past the buffer's 64:
+ * after the first 64 flushes every touch is a miss that evicts the
+ * oldest entry. The CPU column is host ns per flush;
+ * `xpline_hit_ratio` confirms no flush hit.
+ */
+void
+BM_XpBufferMissHostCost(benchmark::State &state)
+{
+    constexpr uint64_t kXpLines = 4096;
+    PmDeviceConfig cfg;
+    cfg.size = size_t{1} << 26;
+    PmDevice dev(cfg);
+    char *base = dev.base();
+    uint64_t i = 0, flushes = 0;
+    VClock::reset();
+    FlushClassCounts before = dev.flushCounts();
+    for (auto _ : state) {
+        // An odd stride is a full cycle modulo a power of two.
+        i = (i + 2654435761u) & (kXpLines - 1);
+        dev.flushLine(base + i * 256 + (i >> 3) % 4 * 64,
+                      TimeKind::FlushMeta);
+        ++flushes;
+    }
+    FlushClassCounts after = dev.flushCounts();
+    state.counters["xpline_hit_ratio"] =
+        double(after.xpline_hit - before.xpline_hit) / double(flushes);
+    state.counters["vns_per_flush"] =
+        double(VClock::now()) / double(flushes);
+}
+
 } // namespace
 
 BENCHMARK(BM_FlushFenceHostCost)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK(BM_XpBufferMissHostCost);
 BENCHMARK(BM_ReflushDistance)->DenseRange(1, 6)->Arg(8)->Arg(16);
 BENCHMARK(BM_SequentialFlush);
 BENCHMARK(BM_RandomFlush);

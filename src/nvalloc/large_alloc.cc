@@ -14,6 +14,9 @@ namespace {
 constexpr uint64_t kSearchBaseNs = 40;
 constexpr uint64_t kSearchStepNs = 15;
 
+//! Source of Veh::reuse_epoch; never hands out a value twice.
+std::atomic<uint64_t> g_reuse_epoch{0};
+
 uint64_t
 alignUp(uint64_t v, uint64_t a)
 {
@@ -160,6 +163,13 @@ LargeAllocator::insertFree(Veh *veh, Veh::State state)
         retained_tree_.insert(veh, veh->size);
         retained_list_.pushBack(veh);
         retained_bytes_ += veh->size;
+        // Retained extents never grow (coalesce merges only Reclaimed
+        // neighbours), so whether this one spans its whole region is
+        // settled now, once per demotion rather than once per tick.
+        auto it = regions_.find(veh->off - kRegionHeaderSize);
+        if (it != regions_.end() &&
+            it->second == veh->size + kRegionHeaderSize)
+            evictable_list_.pushBack(veh);
     }
 }
 
@@ -175,6 +185,8 @@ LargeAllocator::removeFree(Veh *veh)
         retained_tree_.erase(veh);
         retained_list_.remove(veh);
         retained_bytes_ -= veh->size;
+        if (veh->evict_link.linked())
+            evictable_list_.remove(veh);
     }
 }
 
@@ -220,7 +232,8 @@ LargeAllocator::activate(Veh *veh, bool is_slab,
         veh->log_ref = ref;
     }
     veh->state = Veh::State::Activated;
-    ++veh->reuse_epoch;
+    veh->reuse_epoch =
+        g_reuse_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
     veh->is_slab = is_slab;
     activated_list_.pushBack(veh);
     activated_bytes_ += veh->size;
@@ -561,10 +574,10 @@ LargeAllocator::evict(Veh *veh)
 {
     // Only whole-region extents can be returned to the OS; partial
     // extents stay retained (their region is still live).
-    uint64_t region = regionOf(veh->off);
+    NV_ASSERT(veh->evict_link.linked());
+    uint64_t region = veh->off - kRegionHeaderSize;
     uint64_t total = regions_.at(region);
-    NV_ASSERT(veh->off == region + kRegionHeaderSize &&
-              veh->size == total - kRegionHeaderSize);
+    NV_ASSERT(veh->size == total - kRegionHeaderSize);
     ++stats_.evictions;
     ++stats_.regions_unmapped;
 
@@ -608,19 +621,13 @@ LargeAllocator::decayTick()
     if (reclaimed_bytes_ == 0)
         reclaimed_peak_ = 0;
 
-    // Retained list: whole-region extents older than two windows go
-    // back to the OS.
-    Veh *veh = retained_list_.front();
+    // Whole-region retained extents older than two windows go back
+    // to the OS, in retained-list order; partial ones never can.
+    Veh *veh = evictable_list_.front();
     while (veh) {
-        Veh *next = retained_list_.next(veh);
-        if (now - veh->freed_at > 2 * cfg_.decay_window_ns) {
-            uint64_t region = regionOf(veh->off);
-            uint64_t total = regions_.at(region);
-            if (veh->off == region + kRegionHeaderSize &&
-                veh->size == total - kRegionHeaderSize) {
-                evict(veh);
-            }
-        }
+        Veh *next = evictable_list_.next(veh);
+        if (now - veh->freed_at > 2 * cfg_.decay_window_ns)
+            evict(veh);
         veh = next;
     }
 }

@@ -17,7 +17,11 @@
  * may hold at most peak * smootherstep-decay bytes; overflow extents
  * are demoted to retained (decommit) and, a window later, returned to
  * the OS entirely when they span a whole region (paper §2.2, 50 ms
- * epochs, jemalloc parameters).
+ * epochs, jemalloc parameters). Retained extents never grow, so an
+ * extent is known to span its region the moment it is demoted; those
+ * extents alone sit on a fourth, evictable list, and the decay tick
+ * walks only that list, so its cost tracks evictions rather than the
+ * retained population.
  *
  * Persistence of extent state is pluggable:
  *  - log-structured bookkeeping (paper §5.3): allocations append to
@@ -66,13 +70,16 @@ struct Veh
     LogEntryRef log_ref;   //!< live while activated (log mode)
     uint64_t desc_off = 0; //!< descriptor slot (in-place mode)
     uint64_t freed_at = 0; //!< virtual time of the last free
-    /** Bumped on every activation: lets deferred checks over reclaimed
-     *  memory (the hardening guard watch) tell "still the same free
-     *  life" apart from "reused and freed again since". */
+    /** Drawn fresh from a process-wide counter on every activation,
+     *  so no two activations of any extents share a value: lets
+     *  deferred checks over reclaimed memory (the hardening guard
+     *  watch) tell "still the same free life" apart from "reused, or
+     *  another extent carved at the same place, and freed since". */
     uint64_t reuse_epoch = 0;
 
-    RbNode size_node;  //!< reclaimed/retained best-fit index
-    LruLink list_link; //!< membership in the state's list
+    RbNode size_node;   //!< reclaimed/retained best-fit index
+    LruLink list_link;  //!< membership in the state's list
+    LruLink evict_link; //!< whole-region retained: on the evictable list
 };
 
 class LargeAllocator
@@ -264,6 +271,7 @@ class LargeAllocator
   private:
     using SizeTree = RbTree<Veh, offsetof(Veh, size_node)>;
     using VehList = LruList<Veh, offsetof(Veh, list_link)>;
+    using EvictList = LruList<Veh, offsetof(Veh, evict_link)>;
 
     PmDevice *dev_ = nullptr;
     NvAllocConfig cfg_;
@@ -275,6 +283,9 @@ class LargeAllocator
     VehList activated_list_;
     VehList reclaimed_list_; //!< LRU by freed_at
     VehList retained_list_;
+    //! The retained extents that span a whole region, the only ones
+    //! evict() can return to the OS: a subsequence of retained_list_.
+    EvictList evictable_list_;
 
     uint64_t activated_bytes_ = 0;
     uint64_t reclaimed_bytes_ = 0;

@@ -1,6 +1,7 @@
 #include "pm/latency_model.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/size_classes.h"
 
@@ -11,21 +12,12 @@ namespace {
 constexpr unsigned kMruCap = 8;      // recent distinct lines tracked
 constexpr uint64_t kXpLine = 256;    // Optane internal write granule
 
-/** One past the highest index in [lo, i) holding `x`, or lo if none.
- *  Compares four entries per branch: a miss into a full XPBuffer
- *  scans every entry, and one branch per entry makes that scan the
- *  costliest step of the flush path. */
+/** Fibonacci hash of an XPLine (low 8 bits always zero) into a table
+ *  of 2^(64 - shift) slots. */
 unsigned
-findDescending(const uint64_t *a, unsigned lo, unsigned i, uint64_t x)
+xpHash(uint64_t xpline, unsigned shift)
 {
-    for (; i >= lo + 4; i -= 4) {
-        if ((a[i - 1] == x) | (a[i - 2] == x) | (a[i - 3] == x) |
-            (a[i - 4] == x))
-            break;
-    }
-    while (i > lo && a[i - 1] != x)
-        --i;
-    return i;
+    return unsigned((xpline * 0x9E3779B97F4A7C15ULL) >> shift);
 }
 
 } // namespace
@@ -53,12 +45,29 @@ struct alignas(kCacheLine) LatencyModel::ThreadState
     uint64_t mru[kMruCap] = {};
     unsigned mru_len = 0;
 
-    // LRU set of buffered 256 B XPLines: a ring of xp_cap slots,
-    // oldest at xp_head, newest at xp_head + xp_len - 1 (mod xp_cap).
-    std::unique_ptr<uint64_t[]> xp;
+    // LRU set of buffered 256 B XPLines: xp_cap nodes doubly linked
+    // from xp_oldest to xp_newest, found through an open-addressed
+    // table (linear probing, at most half full) of XPLine -> node.
+    // Hits, inserts and evictions are O(1); nothing scans the buffer.
+    static constexpr uint32_t kNil = ~uint32_t{0};
+    struct XpNode
+    {
+        uint64_t xpline;
+        uint32_t older, newer;
+    };
+    struct XpSlot
+    {
+        uint64_t xpline;
+        uint32_t node; //!< kNil: empty
+    };
+    std::unique_ptr<XpNode[]> xp_nodes;
+    std::unique_ptr<XpSlot[]> xp_table;
     unsigned xp_cap;
-    unsigned xp_head = 0;
-    unsigned xp_len = 0;
+    unsigned xp_mask = 0;  //!< table slots - 1
+    unsigned xp_shift = 0; //!< 64 - log2(table slots)
+    unsigned xp_len = 0;   //!< nodes in use, filled in index order
+    uint32_t xp_oldest = kNil;
+    uint32_t xp_newest = kNil;
 
     uint64_t last_miss_xpline = ~uint64_t{0};
 
@@ -69,10 +78,16 @@ struct alignas(kCacheLine) LatencyModel::ThreadState
     std::atomic<uint64_t> *sink_cells = nullptr;
     uint64_t sink_epoch = 0;
 
-    explicit ThreadState(unsigned xpbuf_lines)
-        : xp(std::make_unique<uint64_t[]>(xpbuf_lines)),
-          xp_cap(xpbuf_lines)
+    explicit ThreadState(unsigned xpbuf_lines) : xp_cap(xpbuf_lines)
     {
+        if (xp_cap == 0)
+            return;
+        unsigned slots = std::bit_ceil(2 * xp_cap);
+        xp_nodes = std::make_unique<XpNode[]>(xp_cap);
+        xp_table = std::make_unique<XpSlot[]>(slots);
+        xp_mask = slots - 1;
+        xp_shift = 64 - std::countr_zero(slots);
+        clearXpBuffer();
     }
 
     /** Forget every flush before generation `gen`; counters stay. */
@@ -81,8 +96,7 @@ struct alignas(kCacheLine) LatencyModel::ThreadState
     {
         generation = gen;
         mru_len = 0;
-        xp_head = 0;
-        xp_len = 0;
+        clearXpBuffer();
         last_miss_xpline = ~uint64_t{0};
         sink_cells = nullptr;
         sink_epoch = 0;
@@ -114,41 +128,91 @@ struct alignas(kCacheLine) LatencyModel::ThreadState
     }
 
     /** True if the XPLine was buffered; makes it the newest either
-     *  way, evicting the oldest on a miss into a full buffer. The scan
-     *  starts at the newest entry, where hits cluster. */
+     *  way, evicting the oldest on a miss into a full buffer. */
     bool
     touchXpLine(uint64_t xpline)
     {
-        // Oldest to newest, the ring is [xp_head, top) then [0, wrap);
-        // each part is one contiguous descending scan.
-        unsigned end = xp_head + xp_len;
-        unsigned wrap = end > xp_cap ? end - xp_cap : 0;
-        unsigned top = end - wrap;
-        unsigned i = findDescending(xp.get(), 0, wrap, xpline);
-        if (i == 0) {
-            i = findDescending(xp.get(), xp_head, top, xpline);
-            if (i == xp_head) {
-                if (xp_len < xp_cap) {
-                    // Filling: xp_head stays 0 until the ring is full.
-                    xp[xp_len++] = xpline;
-                } else if (xp_cap) {
-                    // Full: the oldest slot becomes the newest.
-                    xp[xp_head] = xpline;
-                    xp_head = xp_head + 1 == xp_cap ? 0 : xp_head + 1;
+        if (xp_cap == 0)
+            return false;
+        unsigned i = xpHash(xpline, xp_shift);
+        for (;; i = (i + 1) & xp_mask) {
+            const XpSlot &s = xp_table[i];
+            if (s.node == kNil)
+                break;
+            if (s.xpline == xpline) {
+                if (s.node != xp_newest) {
+                    unlinkXp(s.node);
+                    pushNewestXp(s.node);
                 }
-                return false;
+                return true;
             }
         }
-        // Hit at i - 1: slide the newer entries one slot older and put
-        // the hit at the newest end.
-        unsigned newest = (wrap ? wrap : top) - 1;
-        for (--i; i != newest;) {
-            unsigned j = i + 1 == xp_cap ? 0 : i + 1;
-            xp[i] = xp[j];
-            i = j;
+        uint32_t n;
+        if (xp_len < xp_cap) {
+            n = xp_len++;
+        } else {
+            // Full: the oldest node becomes the newest.
+            n = xp_oldest;
+            unlinkXp(n);
+            eraseXpSlot(xp_nodes[n].xpline);
         }
-        xp[newest] = xpline;
-        return true;
+        xp_nodes[n].xpline = xpline;
+        pushNewestXp(n);
+        i = xpHash(xpline, xp_shift);
+        while (xp_table[i].node != kNil)
+            i = (i + 1) & xp_mask;
+        xp_table[i] = XpSlot{xpline, n};
+        return false;
+    }
+
+  private:
+    void
+    clearXpBuffer()
+    {
+        xp_len = 0;
+        xp_oldest = xp_newest = kNil;
+        if (xp_table) {
+            for (unsigned i = 0; i <= xp_mask; ++i)
+                xp_table[i].node = kNil;
+        }
+    }
+
+    void
+    unlinkXp(uint32_t n)
+    {
+        const XpNode &x = xp_nodes[n];
+        (x.older != kNil ? xp_nodes[x.older].newer : xp_oldest) = x.newer;
+        (x.newer != kNil ? xp_nodes[x.newer].older : xp_newest) = x.older;
+    }
+
+    void
+    pushNewestXp(uint32_t n)
+    {
+        xp_nodes[n].older = xp_newest;
+        xp_nodes[n].newer = kNil;
+        (xp_newest != kNil ? xp_nodes[xp_newest].newer : xp_oldest) = n;
+        xp_newest = n;
+    }
+
+    /** Remove a buffered XPLine's slot with backward-shift deletion,
+     *  so probe chains need no tombstones. */
+    void
+    eraseXpSlot(uint64_t xpline)
+    {
+        unsigned i = xpHash(xpline, xp_shift);
+        while (xp_table[i].xpline != xpline || xp_table[i].node == kNil)
+            i = (i + 1) & xp_mask;
+        for (unsigned j = (i + 1) & xp_mask; xp_table[j].node != kNil;
+             j = (j + 1) & xp_mask) {
+            // Slot j may fill the hole at i only if i lies on its probe
+            // path, i.e. cyclically in [home(j), j).
+            unsigned home = xpHash(xp_table[j].xpline, xp_shift);
+            if (((j - home) & xp_mask) >= ((j - i) & xp_mask)) {
+                xp_table[i] = xp_table[j];
+                i = j;
+            }
+        }
+        xp_table[i].node = kNil;
     }
 };
 

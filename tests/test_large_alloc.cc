@@ -2,8 +2,9 @@
  * @file
  * Large allocator tests (§4.3): best-fit with split and coalesce,
  * direct >2 MB regions, the decay pipeline
- * (reclaimed → retained → OS), persistent region-table maintenance,
- * gap-based free-space recovery, and the in-place descriptor mode.
+ * (reclaimed → retained → OS, evicting only whole-region extents),
+ * reuse epochs, persistent region-table maintenance, gap-based
+ * free-space recovery, and the in-place descriptor mode.
  */
 
 #include <gtest/gtest.h>
@@ -151,6 +152,121 @@ TEST_F(LargeFixture, DecayDemotesAndEvicts)
     // The whole region became one retained extent and went to the OS.
     EXPECT_EQ(large_->retainedBytes(), 0u) << "evicted";
     EXPECT_GE(large_->stats().evictions, 1u);
+}
+
+constexpr uint64_t kRegionData = kRegionSize - kRegionHeaderSize;
+
+TEST_F(LargeFixture, DecayEvictsOnlyWholeRegionExtentsOldestFirst)
+{
+    init(true, /*decay_ns=*/100'000);
+    // Regions 1 and 2: two extents each, filling the region exactly.
+    uint64_t a1 = large_->allocate(kLargeMax, false);
+    uint64_t a2 = large_->allocate(kRegionData - kLargeMax, false);
+    uint64_t b1 = large_->allocate(kLargeMax, false);
+    uint64_t b2 = large_->allocate(kRegionData - kLargeMax, false);
+    ASSERT_EQ(a2, a1 + kLargeMax);
+    ASSERT_EQ(b2, b1 + kLargeMax);
+    // Region 3: three 64 KB holes between live pins, rest filled.
+    constexpr uint64_t kHole = 64 * 1024, kPin = 16 * 1024;
+    uint64_t holes[3];
+    for (uint64_t &h : holes) {
+        h = large_->allocate(kHole, false);
+        large_->allocate(kPin, false);
+    }
+    uint64_t fill = large_->allocate(kLargeMax, false);
+    ASSERT_EQ(large_->allocate(kRegionData - 3 * (kHole + kPin) - kLargeMax,
+                               false),
+              fill + kLargeMax);
+    ASSERT_EQ(holes[2], holes[0] + 2 * (kHole + kPin));
+    ASSERT_EQ(large_->stats().regions_mapped, 3u);
+
+    for (uint64_t h : holes)
+        large_->free(h);
+    large_->free(a1);
+    large_->free(a2); // region 1 is one free extent
+    VClock::advance(60'000, TimeKind::Other);
+    large_->free(b1);
+    large_->free(b2); // region 2 too, 60 us younger
+
+    // Past one window: everything is demoted, nothing is old enough
+    // to leave yet.
+    VClock::advance(110'000, TimeKind::Other);
+    large_->decayTick();
+    EXPECT_EQ(large_->reclaimedBytes(), 0u);
+    EXPECT_EQ(large_->stats().demotions, 5u);
+    EXPECT_EQ(large_->retainedBytes(), 3 * kHole + 2 * kRegionData);
+    EXPECT_EQ(large_->stats().evictions, 0u);
+
+    // Region 1 passes two windows first and leaves first.
+    VClock::advance(40'000, TimeKind::Other);
+    large_->decayTick();
+    EXPECT_EQ(large_->stats().evictions, 1u);
+    EXPECT_EQ(large_->findVeh(a1), nullptr);
+    ASSERT_NE(large_->findVeh(b1), nullptr);
+    EXPECT_EQ(large_->findVeh(b1)->state, Veh::State::Retained);
+
+    VClock::advance(60'000, TimeKind::Other);
+    large_->decayTick();
+    EXPECT_EQ(large_->stats().evictions, 2u);
+    EXPECT_EQ(large_->findVeh(b1), nullptr);
+
+    // The partial extents stay retained however old they get.
+    VClock::advance(1'000'000, TimeKind::Other);
+    large_->decayTick();
+    EXPECT_EQ(large_->stats().evictions, 2u);
+    EXPECT_EQ(large_->retainedBytes(), 3 * kHole);
+    for (uint64_t h : holes)
+        EXPECT_EQ(large_->findVeh(h)->state, Veh::State::Retained);
+}
+
+TEST_F(LargeFixture, SplitWholeRegionRetainedExtentIsNeverEvicted)
+{
+    init(true, /*decay_ns=*/100'000);
+    uint64_t a = large_->allocate(kLargeMax, false);
+    uint64_t b = large_->allocate(kRegionData - kLargeMax, false);
+    large_->free(a);
+    large_->free(b);
+    VClock::advance(150'000, TimeKind::Other);
+    large_->decayTick();
+    ASSERT_EQ(large_->retainedBytes(), kRegionData);
+    ASSERT_EQ(large_->stats().evictions, 0u);
+
+    // Reuse splits the whole-region extent; neither part spans the
+    // region any more, so neither may ever be evicted.
+    uint64_t c = large_->allocate(256 * 1024, false);
+    ASSERT_EQ(c, a);
+    VClock::advance(1'000'000, TimeKind::Other);
+    large_->decayTick();
+    EXPECT_EQ(large_->stats().evictions, 0u);
+    EXPECT_EQ(large_->findVeh(c + 256 * 1024)->state,
+              Veh::State::Retained);
+
+    large_->free(c); // its retained neighbour does not coalesce
+    VClock::advance(1'000'000, TimeKind::Other);
+    large_->decayTick();
+    VClock::advance(1'000'000, TimeKind::Other);
+    large_->decayTick();
+    EXPECT_EQ(large_->stats().evictions, 0u);
+    EXPECT_EQ(large_->retainedBytes(), kRegionData);
+    EXPECT_EQ(large_->findVeh(c)->state, Veh::State::Retained);
+}
+
+TEST_F(LargeFixture, ReuseEpochDiffersAcrossExtentsAtTheSameOffset)
+{
+    init(true);
+    // Each allocation carves a fresh extent at the same offset out of
+    // the region's free space; the two free lives must not share an
+    // epoch, or a deferred fill check of the first would trust the
+    // second's contents.
+    uint64_t x = large_->allocate(64 * 1024, false);
+    large_->free(x);
+    uint64_t first = large_->reclaimedEpoch(x);
+    ASSERT_EQ(large_->allocate(64 * 1024, false), x);
+    large_->free(x);
+    uint64_t second = large_->reclaimedEpoch(x);
+    EXPECT_NE(first, ~0ULL);
+    EXPECT_NE(second, ~0ULL);
+    EXPECT_NE(first, second);
 }
 
 TEST_F(LargeFixture, RetainedExtentIsRecommittedOnReuse)

@@ -4,13 +4,17 @@
  * documents: the reflush-distance cost curve (800→500 ns over
  * distances 0-3), sequential-vs-random media costs, XPBuffer hits,
  * classification counters, the eADR mode, and the trace hook; a
- * golden trace pinning every virtual nanosecond and count; and exact
- * per-thread counter accounting under concurrent flushers.
+ * golden trace pinning every virtual nanosecond and count; every
+ * flush's class checked against a reference LRU model at XPBuffer
+ * capacities from 0 up; and exact per-thread counter accounting under
+ * concurrent flushers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <list>
 #include <thread>
 #include <vector>
 
@@ -343,6 +347,142 @@ TEST(LatencyModelGolden, VirtualTimeAndCountsArePinned)
         EXPECT_EQ(r.counts.random, g.counts.random);
         EXPECT_EQ(r.counts.xpline_hit, g.counts.xpline_hit);
         EXPECT_EQ(r.counts.fences, g.counts.fences);
+    }
+}
+
+/**
+ * The model's classification rules over plain std::list histories:
+ * an 8-entry MRU of 64 B lines (distance < 4 is a reflush) and an
+ * exact LRU of `cap` XPLines; an XPLine miss is sequential when it is
+ * the last missed XPLine or its successor.
+ */
+class ReferenceClassifier
+{
+  public:
+    explicit ReferenceClassifier(unsigned cap) : cap_(cap) {}
+
+    FlushClass
+    flush(uint64_t line)
+    {
+        auto it = std::find(lines_.begin(), lines_.end(), line);
+        size_t distance = SIZE_MAX; // a fresh line is never a reflush
+        if (it != lines_.end()) {
+            distance = std::distance(lines_.begin(), it);
+            lines_.erase(it);
+        }
+        lines_.push_front(line);
+        if (lines_.size() > 8)
+            lines_.pop_back();
+        if (distance < 4)
+            return FlushClass::Reflush;
+
+        uint64_t xpline = line & ~uint64_t{255};
+        auto xp = std::find(xplines_.begin(), xplines_.end(), xpline);
+        if (xp != xplines_.end()) {
+            xplines_.erase(xp);
+            xplines_.push_back(xpline);
+            return FlushClass::XpLineHit;
+        }
+        if (cap_ != 0) {
+            if (xplines_.size() == cap_)
+                xplines_.pop_front();
+            xplines_.push_back(xpline);
+        }
+        bool sequential =
+            xpline == last_miss_ || xpline == last_miss_ + 256;
+        last_miss_ = xpline;
+        return sequential ? FlushClass::Sequential : FlushClass::Random;
+    }
+
+  private:
+    unsigned cap_;
+    std::list<uint64_t> lines_;   //!< most recent first
+    std::list<uint64_t> xplines_; //!< oldest first
+    uint64_t last_miss_ = ~uint64_t{0};
+};
+
+/** The class one flush added to the counters between two reads. */
+FlushClass
+classAdded(const FlushClassCounts &before, const FlushClassCounts &after)
+{
+    EXPECT_EQ(after.total, before.total + 1);
+    if (after.reflush != before.reflush)
+        return FlushClass::Reflush;
+    if (after.sequential != before.sequential)
+        return FlushClass::Sequential;
+    if (after.random != before.random)
+        return FlushClass::Random;
+    if (after.xpline_hit != before.xpline_hit)
+        return FlushClass::XpLineHit;
+    return FlushClass::NumClasses;
+}
+
+TEST(LatencyModelXpBuffer, EveryFlushMatchesReferenceLru)
+{
+    const unsigned kCaps[] = {0, 1, 2, 3, 4, 5, 63, 64, 65, 128};
+    for (bool eadr : {false, true}) {
+        for (unsigned cap : kCaps) {
+            SCOPED_TRACE(testing::Message()
+                         << "eadr=" << eadr << " xpbuf_lines=" << cap);
+            PmDeviceConfig cfg;
+            cfg.size = size_t{1} << 28;
+            cfg.latency.xpbuf_lines = cap;
+            PmDevice dev(cfg);
+            if (eadr)
+                dev.model().setEadr(true);
+            ReferenceClassifier ref(cap);
+
+            uint64_t x = 0x9e3779b97f4a7c15ULL ^ (uint64_t{cap} << 32);
+            auto next = [&x]() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                return x;
+            };
+            // A pool of XPLines a little larger than the buffer, so
+            // re-touches land on both sides of the eviction boundary.
+            const uint64_t pool = 2 * uint64_t{cap} + 3;
+            uint64_t seq = uint64_t{64} << 20;
+            std::vector<uint64_t> recent(16, 0);
+            FlushClassCounts before = dev.flushCounts();
+            for (unsigned step = 0; step < 20000; ++step) {
+                uint64_t r = next();
+                uint64_t line;
+                switch (r % 5) {
+                case 0: // hot set of three lines
+                    line = ((r >> 8) % 3) * 64;
+                    break;
+                case 1: // sequential XPLine cursor
+                    line = seq;
+                    seq += 256;
+                    break;
+                case 2: // random line in the first 128 MiB
+                    line = ((r >> 8) % (uint64_t{1} << 21)) * 64;
+                    break;
+                case 3: // any line of an XPLine from the pool
+                    line = (uint64_t{32} << 20) +
+                           ((r >> 8) % pool) * 256 + ((r >> 40) % 4) * 64;
+                    break;
+                default: // re-touch a recently flushed XPLine
+                    line = recent[(r >> 8) % recent.size()] +
+                           ((r >> 40) % 4) * 64;
+                    break;
+                }
+                recent[step % recent.size()] = line & ~uint64_t{255};
+                dev.flushLine(dev.base() + line, TimeKind::FlushMeta);
+                FlushClassCounts after = dev.flushCounts();
+                FlushClass want = ref.flush(line);
+                FlushClass got = classAdded(before, after);
+                if (got != want) {
+                    ADD_FAILURE() << "step " << step << " line " << line
+                                  << ": model " << flushClassName(got)
+                                  << ", reference "
+                                  << flushClassName(want);
+                    break;
+                }
+                before = after;
+            }
+        }
     }
 }
 

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "nvalloc/auditor.h"
 #include "nvalloc/nvalloc.h"
 #include "workloads/ycsb.h"
@@ -63,7 +64,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--quick] [--workload A..F|all] [--records N]\n"
         "          [--ops N] [--threads N[,N...]] [--uniform]\n"
-        "          [--theta X] [--seed N] [--crash]\n",
+        "          [--theta X (0 <= X < 1)] [--seed N] [--crash]\n",
         argv0);
     return 2;
 }
@@ -269,13 +270,20 @@ main(int argc, char **argv)
             else
                 return usage(argv[0]);
         } else if (const char *v = val("--records")) {
-            o.records = std::strtoull(v, nullptr, 10);
+            if (!parseCount(v, o.records))
+                return usage(argv[0]);
         } else if (const char *v = val("--ops")) {
-            o.ops = std::strtoull(v, nullptr, 10);
+            if (!parseCount(v, o.ops))
+                return usage(argv[0]);
         } else if (const char *v = val("--theta")) {
-            o.theta = std::strtod(v, nullptr);
+            // The zipfian constant is defined for theta in [0, 1); at
+            // 1 it degenerates and every draw past rank 1 is the last
+            // key.
+            if (!parseFinite(v, o.theta) || o.theta < 0 || o.theta >= 1)
+                return usage(argv[0]);
         } else if (const char *v = val("--seed")) {
-            o.seed = std::strtoull(v, nullptr, 10);
+            if (!parseCount(v, o.seed))
+                return usage(argv[0]);
         } else if (const char *v = val("--threads")) {
             o.threads.clear();
             for (const char *p = v; *p;) {
