@@ -201,10 +201,11 @@ LargeAllocator::splitFront(Veh *veh, uint64_t size)
     front->off = veh->off;
     front->size = size;
 
+    // The remainder's radix entries already map to `veh`; only the
+    // front's need rewriting.
     removeFree(veh);
     veh->off += size;
     veh->size -= size;
-    rtree_.setRange(veh->off, veh->size, veh);
     insertFree(veh, veh->state); // remainder keeps its commit state
     if (!log_)
         descriptorWrite(veh, 2);
@@ -408,21 +409,77 @@ LargeAllocator::coalesce(Veh *veh)
     return veh;
 }
 
+Veh *
+LargeAllocator::checkFree(uint64_t off, CorruptionKind *why) const
+{
+    Veh *veh = findVeh(off);
+    CorruptionKind k;
+    if (!veh)
+        k = CorruptionKind::WildFree;
+    else if (veh->off != off)
+        k = CorruptionKind::MisalignedFree;
+    else if (veh->state != Veh::State::Activated)
+        k = CorruptionKind::DoubleFree;
+    else if (veh->is_slab)
+        k = CorruptionKind::MisalignedFree;
+    else
+        return veh;
+    if (why)
+        *why = k;
+    return nullptr;
+}
+
+bool
+LargeAllocator::freeable(uint64_t off, CorruptionKind *why) const
+{
+    VLockGuard guard(lock_);
+    return checkFree(off, why) != nullptr;
+}
+
+Veh *
+LargeAllocator::liveExtentAt(uint64_t off) const
+{
+    VLockGuard guard(lock_);
+    Veh *veh = findVeh(off);
+    if (!veh || veh->state != Veh::State::Activated || veh->is_slab)
+        return nullptr;
+    return veh;
+}
+
+uint64_t
+LargeAllocator::freeChecked(uint64_t off, CorruptionKind *why,
+                            const FreeHook &journal)
+{
+    VLockGuard guard(lock_);
+    Veh *veh = checkFree(off, why);
+    if (!veh)
+        return 0;
+    uint64_t size = veh->size;
+    if (journal)
+        journal();
+    release(veh);
+    return size;
+}
+
 void
 LargeAllocator::free(uint64_t off)
 {
     VLockGuard guard(lock_);
-    ++stats_.frees;
-
     Veh *veh = findVeh(off);
     NV_ASSERT(veh && veh->off == off &&
               veh->state == Veh::State::Activated);
-    chargeSearch(3); // R-tree lookup
+    release(veh);
+}
 
+void
+LargeAllocator::release(Veh *veh)
+{
+    ++stats_.frees;
+    chargeSearch(3); // R-tree lookup
     retire(veh);
 
     if (veh->is_direct) {
-        uint64_t region = regionOf(off);
+        uint64_t region = regionOf(veh->off);
         uint64_t total = regions_.at(region);
         rtree_.setRange(veh->off, veh->size, nullptr);
         regionTableRemove(region);

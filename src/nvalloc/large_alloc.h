@@ -23,6 +23,12 @@
  * walks only that list, so its cost tracks evictions rather than the
  * retained population.
  *
+ * The allocator also owns the one validator for extent frees:
+ * freeChecked decides under the allocator lock whether an offset heads
+ * a live extent, runs the caller's journal hook and retires the extent
+ * in the same hold — the free-side twin of allocate()'s PreLogHook —
+ * so two racing frees of one extent cannot both pass (DESIGN.md §9).
+ *
  * Persistence of extent state is pluggable:
  *  - log-structured bookkeeping (paper §5.3): allocations append to
  *    the BookkeepingLog, frees tombstone; free space is re-derived
@@ -49,6 +55,7 @@
 #include "common/smootherstep.h"
 #include "nvalloc/bookkeeping_log.h"
 #include "nvalloc/config.h"
+#include "nvalloc/hardening.h"
 #include "nvalloc/layout.h"
 #include "nvalloc/status.h"
 #include "nvalloc/vlock.h"
@@ -130,7 +137,37 @@ class LargeAllocator
     uint64_t allocate(uint64_t size, bool is_slab,
                       const PreLogHook &pre_log = {});
 
-    /** Free the extent starting at `off` (must be a start address). */
+    /** Runs under the allocator lock between freeChecked's validation
+     *  and the extent's retirement: the caller journals the free and
+     *  clears its attach word here, so no racing free of the same
+     *  extent can pass validation in between. */
+    using FreeHook = std::function<void()>;
+
+    /**
+     * The one validated extent free (DESIGN.md §9). Under the
+     * allocator lock: `off` must head an activated, non-slab extent;
+     * then `journal` runs and the extent retires — the same
+     * journal-under-the-lock discipline allocate() keeps through
+     * PreLogHook. Returns the freed extent's size, or 0 with nothing
+     * journaled or mutated and `*why` set: WildFree (no extent covers
+     * `off`), MisalignedFree (an extent's interior, or a slab) or
+     * DoubleFree (the extent is already free).
+     */
+    uint64_t freeChecked(uint64_t off, CorruptionKind *why = nullptr,
+                         const FreeHook &journal = {});
+
+    /** freeChecked's validation alone: true iff `off` heads an
+     *  activated non-slab extent right now (a free staged for later,
+     *  or a replay that must know the extent exists). */
+    bool freeable(uint64_t off, CorruptionKind *why = nullptr) const;
+
+    /** The activated non-slab extent covering any byte of `off`, or
+     *  nullptr: interior-pointer liveness for the conservative GC and
+     *  the cross-heap free probe. */
+    Veh *liveExtentAt(uint64_t off) const;
+
+    /** Free the extent starting at `off` unchecked, for owners that
+     *  know it is live (slab release, the GC sweep). */
     void free(uint64_t off);
 
     /** VEH owning `off`, or nullptr. */
@@ -302,7 +339,7 @@ class LargeAllocator
     // In-place mode: free descriptor slots per region.
     std::unordered_map<uint64_t, std::vector<unsigned>> desc_free_;
 
-    VLock lock_;
+    mutable VLock lock_;
     std::atomic<uint64_t> global_vnow_{0};
 
     Stats stats_;
@@ -313,6 +350,8 @@ class LargeAllocator
     uint64_t allocateDirect(uint64_t size, const PreLogHook &pre_log);
     bool activate(Veh *veh, bool is_slab, const PreLogHook &pre_log);
     void retire(Veh *veh);
+    void release(Veh *veh);
+    Veh *checkFree(uint64_t off, CorruptionKind *why) const;
     Veh *splitFront(Veh *veh, uint64_t size);
     Veh *coalesce(Veh *veh);
     void demote(Veh *veh);

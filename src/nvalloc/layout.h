@@ -4,7 +4,7 @@
  *
  * Everything in this header lives inside the emulated PM device and
  * must stay valid across crashes; all cross-structure references are
- * device offsets (or OffsetPtr), never raw pointers. Volatile mirrors
+ * device offsets, never raw pointers. Volatile mirrors
  * (vslab, vchunk, VEH) live in ordinary DRAM structs elsewhere.
  *
  * Heap geometry:

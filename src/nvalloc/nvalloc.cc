@@ -874,33 +874,35 @@ NvAlloc::guardAlloc(ThreadCtx &ctx, size_t size, uint64_t where_off)
     return off;
 }
 
-NvStatus
-NvAlloc::guardFree(ThreadCtx &ctx, uint64_t off, uint64_t *where,
-                   uint64_t where_off)
+/**
+ * Free a live guard extent: verify its redzone, then — in one hold of
+ * the large allocator's lock — run `journal`, poison the user area and
+ * retire the extent; then watch it, since a use-after-free write lands
+ * in the poison fill, which the watch list verifies while the extent
+ * is still reclaimed. Returns the extent's size, or 0 with nothing done
+ * when `off` is no live guard (a racing free took it first).
+ */
+uint64_t
+NvAlloc::freeGuard(uint64_t off, const LargeAllocator::FreeHook &journal)
 {
     HardeningManager::GuardInfo info;
     if (!hardening_.takeGuard(off, &info))
-        return rejectFree(off, CorruptionKind::DoubleFree);
+        return 0;
     if (!hardening_.guardRedzoneIntact(off, info)) {
         hardening_.report(
             CorruptionKind::GuardOverflow, off, ~0u,
             "guard redzone dirtied — overflow past the allocation");
     }
-    ctx.wal.append(kWalFree, off, where_off, 0);
-    publish(where, 0);
-    // Poison the user area, retire the extent, and watch it: a
-    // use-after-free write lands in the poison fill, which the watch
-    // list verifies (under the large allocator's lock) while the
-    // extent is still reclaimed.
-    std::memset(dev_.at(off), HardeningManager::kGuardFreeByte,
-                info.user_size);
-    large_.free(off);
+    if (!large_.freeChecked(off, nullptr, [&] {
+            if (journal)
+                journal();
+            std::memset(dev_.at(off), HardeningManager::kGuardFreeByte,
+                        info.user_size);
+        }))
+        return 0;
     hardening_.watchFreedGuard(off, info);
     hardening_.noteGuardFree();
-    VClock::advance(kFreeCpuNs, TimeKind::Other);
-    tel_.noteLargeFree(info.extent_size, off);
-    maint_.pollLogPressure();
-    return NvStatus::Ok;
+    return info.extent_size;
 }
 
 /** Reject a free: classify it, bump the degradation and hardening
@@ -945,6 +947,137 @@ NvAlloc::canaryOk(uint64_t off, unsigned block_size) const
 }
 
 /**
+ * Canary check of a live block about to be freed (always passes with
+ * canaries off). A stomp is reported; under the Quarantine policy a
+ * current-geometry block still frees — freeRoute then sends it through
+ * the quarantine. Otherwise the block is leaked: it stays allocated, so
+ * the audit stays clean, and false tells the caller to free nothing.
+ */
+bool
+NvAlloc::canaryAllowsFree(uint64_t off, const SlabBlock &b)
+{
+    if (!cfg_.redzone_canaries || canaryOk(off, classToSize(b.size_class)))
+        return true;
+    hardening_.report(CorruptionKind::CanaryStomp, off, b.size_class,
+                      b.old ? "old-geometry block canary dirtied"
+                            : "block canary dirtied — overflow into the "
+                              "canary word");
+    if (!b.old && hardening_.policy() == HardeningPolicy::Quarantine)
+        return true;
+    hardening_.noteLeakedBlock();
+    return false;
+}
+
+/**
+ * Where a validated small free sends its block. Old-geometry blocks and
+ * the blocks of mostly-idle slabs go straight back to the slab: those
+ * slabs are morph candidates, and a lent block (in a tcache or the
+ * quarantine) would pin them (paper §5.2). Otherwise the delayed-reuse
+ * quarantine takes the block when it is on, then `tcache` unless full;
+ * a null `tcache` (commit-time apply) never caches, since the
+ * committing thread may not own the freeing thread's cache.
+ */
+NvAlloc::FreeRoute
+NvAlloc::freeRoute(const VSlab *slab, const SlabBlock &b,
+                   const TCache *tcache) const
+{
+    if (b.old || (cfg_.slab_morphing &&
+                  slab->occupancy() <= cfg_.morph_threshold))
+        return FreeRoute::Direct;
+    // hardening_.ready() is false while recovery replays a redo run
+    // (the manager is wired after recoverHeap returns): the quarantine
+    // is a volatile defense against live mutators, and there are none
+    // yet.
+    if (hardening_.ready() &&
+        (cfg_.quarantine_depth > 0 ||
+         (cfg_.redzone_canaries &&
+          hardening_.policy() == HardeningPolicy::Quarantine)))
+        return FreeRoute::Quarantine;
+    if (tcache && !tcache->full(b.size_class))
+        return FreeRoute::Tcache;
+    return FreeRoute::Direct;
+}
+
+/** The mutation half of a small free, under the arena lock: clear the
+ *  block's persistent bit and give it to `route`. A tcache or
+ *  quarantine block stays lent; finishSmallFree hands it over once the
+ *  lock is dropped. */
+void
+NvAlloc::retireSmallLocked(VSlab *slab, const SlabBlock &b, FreeRoute route)
+{
+    Arena *arena = slab->arena;
+    if (b.old) {
+        arena->freeOld(slab, b.idx);
+    } else if (route == FreeRoute::Direct) {
+        arena->freeDirect(slab, b.idx);
+    } else {
+        slab->markFreeToTcache(b.idx);
+        if (route == FreeRoute::Tcache)
+            arena->noteAvailable(slab);
+    }
+}
+
+/** Complete a small free outside every lock: a lent block goes to its
+ *  tcache or the quarantine (whose eviction may lock another arena),
+ *  then the free is counted and `cpu_ns` charged. */
+void
+NvAlloc::finishSmallFree(TCache *tcache, VSlab *slab, const SlabBlock &b,
+                         uint64_t off, FreeRoute route, uint64_t cpu_ns)
+{
+    if (route == FreeRoute::Tcache) {
+        bool ok = tcache->push(b.size_class, CachedBlock{off, slab, b.idx});
+        NV_ASSERT(ok);
+    } else if (route == FreeRoute::Quarantine) {
+        hardening_.quarantinePush(slab, b.idx, off,
+                                  classToSize(b.size_class));
+    }
+    hardening_.noteValidatedFree();
+    VClock::advance(cpu_ns, TimeKind::Other);
+    tel_.noteSmallFree(b.size_class, off);
+}
+
+/**
+ * Rollback and recovery free: return the live block or extent at `off`
+ * straight to its slab or the extent lists — no journal, no tcache or
+ * quarantine, no free counters. False when nothing live starts at
+ * `off`: every caller is an idempotent undo or redo that may find its
+ * work already done.
+ */
+bool
+NvAlloc::releaseLive(uint64_t off)
+{
+    if (VSlab *slab = slabOf(off)) {
+        VLockGuard g(slab->arena->lock);
+        SlabBlock b = slab->resolveBlock(off);
+        if (b.live)
+            retireSmallLocked(slab, b, FreeRoute::Direct);
+        return b.live;
+    }
+    return large_.freeChecked(off) != 0;
+}
+
+/**
+ * Recovery roll-forward of a journaled allocation past its commit
+ * point: re-claim a small block whose allocation bit the crash dropped.
+ * True iff the block demonstrably exists — a current-geometry block
+ * start (now claimed), a live old-geometry block, or a live extent.
+ */
+bool
+NvAlloc::redoAlloc(uint64_t off)
+{
+    if (VSlab *slab = slabOf(off)) {
+        VLockGuard g(slab->arena->lock);
+        SlabBlock b = slab->resolveBlock(off);
+        if (!b.live && b.fault == CorruptionKind::DoubleFree) {
+            slab->claimBlock(b.idx);
+            b.live = true;
+        }
+        return b.live;
+    }
+    return large_.freeable(off);
+}
+
+/**
  * Recovery epilogue: rewrite the canary of every allocated small
  * block (current and old geometry). Canaries are deliberately never
  * flushed, so after a crash they may hold torn or stale words; without
@@ -966,10 +1099,7 @@ NvAlloc::ownsOffset(uint64_t off) const
 {
     if (off == 0 || off >= dev_.size())
         return false;
-    if (slabOf(off))
-        return true;
-    Veh *veh = large_.findVeh(off);
-    return veh && veh->state == Veh::State::Activated;
+    return slabOf(off) || large_.liveExtentAt(off);
 }
 
 uint64_t
@@ -1042,10 +1172,10 @@ NvAlloc::tryFastFree(ThreadCtx &ctx, VSlab *slab, uint64_t off,
         return false;
     }
 
-    unsigned idx = slab->blockIndexOf(off);
-    if (idx >= slab->capacity() || slab->blockOffset(idx) != off) {
+    SlabBlock b = slab->resolveBlock(off);
+    if (!b.live && b.fault == CorruptionKind::MisalignedFree) {
         slab->exitFast();
-        st = rejectFree(off, CorruptionKind::MisalignedFree);
+        st = rejectFree(off, b.fault);
         return true;
     }
     // Exactly one of two racing frees of the same block proceeds. The
@@ -1055,28 +1185,25 @@ NvAlloc::tryFastFree(ThreadCtx &ctx, VSlab *slab, uint64_t off,
     // previous free of this block clears the allocation bit before
     // releasing its claim, so a refill can re-grant the block — and
     // the new owner re-free it — inside that instruction-scale
-    // window. Wait out the in-flight free, then re-arbitrate; a true
-    // double-free resolves below through the allocation bit.
+    // window. Wait out the in-flight free; the allocation bit read
+    // under the claim is the verdict that counts (the geometry cannot
+    // change inside the gate).
     unsigned spins = 0;
-    while (!slab->tryBeginFree(idx)) {
+    while (!slab->tryBeginFree(b.idx)) {
         if (++spins >= 128) {
             std::this_thread::yield();
             spins = 0;
         }
     }
-    if (!slab->isAllocated(idx)) {
-        slab->endFree(idx);
+    b.live = slab->isAllocated(b.idx);
+    if (!b.live) {
+        slab->endFree(b.idx);
         slab->exitFast();
-        st = rejectFree(off, CorruptionKind::DoubleFree);
+        st = rejectFree(off, b.fault);
         return true;
     }
 
-    unsigned cls = slab->sizeClass();
-    // Mostly-idle slabs are morph candidates; blocks freed into a
-    // tcache would pin them (same rule as the locked pipeline).
-    bool keep_unpinned = cfg_.slab_morphing &&
-                         slab->occupancy() <= cfg_.morph_threshold;
-    bool to_tcache = !keep_unpinned && !ctx.tcache.full(cls);
+    FreeRoute route = freeRoute(slab, b, &ctx.tcache);
     {
         // Journal, clear the attach word, then clear + persist the
         // bit — the same WAL discipline as the locked path, minus the
@@ -1085,25 +1212,19 @@ NvAlloc::tryFastFree(ThreadCtx &ctx, VSlab *slab, uint64_t off,
         if (logMode())
             ctx.wal.append(kWalFree, off, where_off, 0);
         publish(where, 0);
-        if (to_tcache)
-            slab->markFreeToTcache(idx);
+        if (route == FreeRoute::Tcache)
+            slab->markFreeToTcache(b.idx);
         else
-            slab->markFree(idx);
-        slab->endFree(idx);
+            slab->markFree(b.idx);
+        slab->endFree(b.idx);
         slab->exitFast();
     }
     slab->arena->bookFastOp(kFastOpNs);
-    if (to_tcache) {
-        bool ok = ctx.tcache.push(cls, CachedBlock{off, slab, idx});
-        NV_ASSERT(ok);
-    } else {
-        // The freelists don't know about this availability yet; hand
-        // the slab to the next locked refill via the pending stack.
+    // The freelists don't know about a direct free's availability yet;
+    // hand the slab to the next locked refill via the pending stack.
+    if (route == FreeRoute::Direct)
         slab->arena->pendingPush(slab);
-    }
-    hardening_.noteValidatedFree();
-    VClock::advance(kFreeCpuNs, TimeKind::Other);
-    tel_.noteSmallFree(cls, off);
+    finishSmallFree(&ctx.tcache, slab, b, off, route, kFreeCpuNs);
     st = NvStatus::Ok;
     return true;
 }
@@ -1142,35 +1263,29 @@ NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
     uint64_t where_off =
         where && dev_.contains(where) ? dev_.offsetOf(where) : kWalNoWhere;
 
-    // Guard extents first: underneath they are large extents, but
+    // Extents: validated, journaled, published and retired in one hold
+    // of the large allocator's lock, so of two racing frees exactly one
+    // passes, and a foreign offset (no extent, mid-extent, free extent,
+    // or a slab's interior) leaves the WAL and the heap untouched.
+    // Guard extents go first: underneath they are large extents, but
     // their free verifies the redzone and poisons the user area.
-    if (cfg_.hardened_free && cfg_.guard_sample_rate &&
-        hardening_.isGuard(off)) {
-        return guardFree(ctx, off, where, where_off);
-    }
-
-    VSlab *slab = slabOf(off);
-    if (!slab) {
-        // Large extent: validate before journaling anything. A foreign
-        // offset (no extent, mid-extent, free extent, or a slab's
-        // interior) must leave both the WAL and the heap untouched.
-        Veh *veh = large_.findVeh(off);
-        if (!veh)
-            return rejectFree(off, CorruptionKind::WildFree);
-        if (veh->off != off)
-            return rejectFree(off, CorruptionKind::MisalignedFree);
-        if (veh->state != Veh::State::Activated)
-            return rejectFree(off, CorruptionKind::DoubleFree);
-        if (veh->is_slab)
-            return rejectFree(off, CorruptionKind::MisalignedFree);
-        // Journal, clear the attach word, then retire.
-        uint64_t veh_size = veh->size;
+    auto journal = [&] {
         ctx.wal.append(kWalFree, off, where_off, 0);
         publish(where, 0);
-        large_.free(off);
-        hardening_.noteValidatedFree();
+    };
+    bool guard = cfg_.hardened_free && cfg_.guard_sample_rate &&
+                 hardening_.isGuard(off);
+    VSlab *slab = guard ? nullptr : slabOf(off);
+    if (!slab) {
+        CorruptionKind why = CorruptionKind::DoubleFree;
+        uint64_t size = guard ? freeGuard(off, journal)
+                              : large_.freeChecked(off, &why, journal);
+        if (!size)
+            return rejectFree(off, why);
+        if (!guard)
+            hardening_.noteValidatedFree();
         VClock::advance(kFreeCpuNs, TimeKind::Other);
-        tel_.noteLargeFree(veh_size, off);
+        tel_.noteLargeFree(size, off);
         maint_.pollLogPressure(); // the tombstone may cross the wake level
         return NvStatus::Ok;
     }
@@ -1189,102 +1304,31 @@ NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
                                              std::memory_order_relaxed);
     }
 
-    Arena *arena = slab->arena;
-    unsigned cls = 0;
-    bool to_tcache = false;
-    bool to_quarantine = false;
-    unsigned bsize = 0;
-    unsigned idx = 0;
+    SlabBlock b;
+    FreeRoute route;
     {
         // One critical section: validate (alignment, double free,
         // canary) against the same state the journal/publish/bitmap
         // mutation will see. The WAL and attach-word flushes inside
         // the hold grow the modeled critical section — that is the
         // honest cost of a race-free validator.
-        VLockGuard g(arena->lock);
-        unsigned old_idx = 0;
-        if (slab->isOldBlock(off, old_idx)) {
-            // blocks_before bypass the tcache (paper §5.2).
-            unsigned old_cls = slab->header()->old_size_class;
-            if (cfg_.redzone_canaries &&
-                !canaryOk(off, classToSize(old_cls))) {
-                hardening_.report(CorruptionKind::CanaryStomp, off,
-                                  old_cls,
-                                  "old-geometry block canary dirtied");
-                // Report policy: leak the block (it stays allocated,
-                // the audit stays clean); Quarantine has no lent-block
-                // path for old-geometry blocks, so it leaks too.
-                hardening_.noteLeakedBlock();
-                publish(where, 0);
-                return NvStatus::Ok;
-            }
-            if (logMode())
-                ctx.wal.append(kWalFree, off, where_off, 0);
+        VLockGuard g(slab->arena->lock);
+        b = slab->resolveBlock(off);
+        if (!b.live)
+            return rejectFree(off, b.fault);
+        if (!canaryAllowsFree(off, b)) {
+            // Report-and-leak: the caller's word is cleared, nothing
+            // is journaled.
             publish(where, 0);
-            arena->freeOld(slab, old_idx);
-            hardening_.noteValidatedFree();
-            VClock::advance(kFreeCpuNs, TimeKind::Other);
-            tel_.noteSmallFree(old_cls, off);
             return NvStatus::Ok;
-        }
-        idx = slab->blockIndexOf(off);
-        if (idx >= slab->capacity() || slab->blockOffset(idx) != off)
-            return rejectFree(off, CorruptionKind::MisalignedFree);
-        if (!slab->isAllocated(idx))
-            return rejectFree(off, CorruptionKind::DoubleFree);
-        cls = slab->sizeClass();
-        bsize = slab->blockSize();
-        if (cfg_.redzone_canaries && !canaryOk(off, bsize)) {
-            hardening_.report(CorruptionKind::CanaryStomp, off, cls,
-                              "block canary dirtied — overflow into "
-                              "the canary word");
-            if (hardening_.policy() != HardeningPolicy::Quarantine) {
-                // Report-and-leak: the persistent bit stays set, the
-                // caller's word is cleared, nothing is journaled.
-                hardening_.noteLeakedBlock();
-                publish(where, 0);
-                return NvStatus::Ok;
-            }
-            // Quarantine policy: complete the free below, but force
-            // the block through the delayed-reuse FIFO.
         }
         if (logMode())
             ctx.wal.append(kWalFree, off, where_off, 0);
         publish(where, 0);
-        // Mostly-idle slabs are morph candidates; blocks freed into a
-        // tcache (or the quarantine — both keep the block lent) would
-        // pin them, so their frees bypass both, like blocks_before do
-        // (§5.2).
-        bool keep_unpinned =
-            cfg_.slab_morphing &&
-            slab->occupancy() <= cfg_.morph_threshold;
-        bool quarantine_on =
-            cfg_.quarantine_depth > 0 ||
-            (cfg_.redzone_canaries &&
-             hardening_.policy() == HardeningPolicy::Quarantine);
-        if (quarantine_on && !keep_unpinned) {
-            slab->markFreeToTcache(idx);
-            to_quarantine = true;
-        } else if (ctx.tcache.full(cls) || keep_unpinned) {
-            arena->freeDirect(slab, idx);
-        } else {
-            slab->markFreeToTcache(idx);
-            arena->noteAvailable(slab);
-            to_tcache = true;
-        }
+        route = freeRoute(slab, b, &ctx.tcache);
+        retireSmallLocked(slab, b, route);
     }
-    if (to_tcache) {
-        bool ok = ctx.tcache.push(
-            cls, CachedBlock{off, slab, idx});
-        NV_ASSERT(ok);
-    } else if (to_quarantine) {
-        // Outside the arena lock: evicting the FIFO's oldest entry
-        // locks that entry's (possibly different) arena.
-        hardening_.quarantinePush(slab, idx, off, bsize);
-    }
-    hardening_.noteValidatedFree();
-    VClock::advance(kFreeCpuNs, TimeKind::Other);
-    tel_.noteSmallFree(cls, off);
+    finishSmallFree(&ctx.tcache, slab, b, off, route, kFreeCpuNs);
     return NvStatus::Ok;
 }
 

@@ -14,9 +14,9 @@
  *   alloc.detachThread(t);
  *   // destructor == nvalloc_exit (normal shutdown)
  *
- * Persistent structures must store device *offsets* (or OffsetPtr),
- * never raw pointers; mallocTo atomically publishes the new block's
- * offset into a persistent word so a crash can never leak it.
+ * Persistent structures must store device *offsets*, never raw
+ * pointers; mallocTo atomically publishes the new block's offset into
+ * a persistent word so a crash can never leak it.
  *
  * Two consistency variants are selected by NvAllocConfig::consistency:
  * NVAlloc-LOG journals every operation in per-thread WALs; NVAlloc-GC
@@ -636,16 +636,28 @@ class NvAlloc
     size_t smallLimit() const;
     bool guardDue(ThreadCtx &ctx);
     uint64_t guardAlloc(ThreadCtx &ctx, size_t size, uint64_t where_off);
-    NvStatus guardFree(ThreadCtx &ctx, uint64_t off, uint64_t *where,
-                       uint64_t where_off);
+    uint64_t freeGuard(uint64_t off,
+                       const LargeAllocator::FreeHook &journal = {});
     NvStatus rejectFree(uint64_t off, CorruptionKind kind);
     void stampCanary(uint64_t off, unsigned block_size);
     bool canaryOk(uint64_t off, unsigned block_size) const;
+    bool canaryAllowsFree(uint64_t off, const SlabBlock &b);
     void restampCanaries();
+
+    // The small-block free stages shared by every free, tx apply and
+    // replay site (nvalloc.cc, DESIGN.md §9).
+    enum class FreeRoute : uint8_t { Direct, Tcache, Quarantine };
+    FreeRoute freeRoute(const VSlab *slab, const SlabBlock &b,
+                        const TCache *tcache) const;
+    void retireSmallLocked(VSlab *slab, const SlabBlock &b,
+                           FreeRoute route);
+    void finishSmallFree(TCache *tcache, VSlab *slab, const SlabBlock &b,
+                         uint64_t off, FreeRoute route, uint64_t cpu_ns);
+    bool releaseLive(uint64_t off);
+    bool redoAlloc(uint64_t off);
 
     // Transaction internals (tx.cc).
     void applyTxFree(uint64_t off);
-    void undoTxAlloc(uint64_t off);
     void finishTx(ThreadCtx &ctx, bool committed);
     void resolveTxRun(uint64_t ring_off, uint32_t tx_id);
     void txRedoRun(const std::vector<WalEntry> &run);

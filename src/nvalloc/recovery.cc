@@ -245,17 +245,6 @@ NvAlloc::clearWalRings()
 void
 NvAlloc::replayWals()
 {
-    auto ensure_small_free = [&](VSlab *slab, uint64_t off) {
-        unsigned idx = slab->blockIndexOf(off);
-        if (idx < slab->capacity() && slab->isAllocated(idx)) {
-            // Rebuilt vslab counts this block live; undo it.
-            VLockGuard g(slab->arena->lock);
-            slab->arena->freeDirect(slab, idx);
-            return true;
-        }
-        return false;
-    };
-
     // Tx runs found across the rings are resolved *after* the scan,
     // sorted by tx id. Different threads' committed transactions may
     // have written the same word (a KV bucket head, say): re-applying
@@ -317,59 +306,25 @@ NvAlloc::replayWals()
                 *static_cast<uint64_t *>(dev_.at(e->where_off)) == block;
         }
 
-        VSlab *slab = slabOf(block);
-        Veh *veh = slab ? nullptr : large_.findVeh(block);
-
-        if (op == kWalAlloc) {
-            if (published) {
-                // Committed. Normally the allocation bit went durable
-                // before the attach word, but an early cache eviction
-                // can persist the word while the bit is lost with the
-                // cut — roll the bit forward so the reachable object
-                // is never handed out again.
-                unsigned idx =
-                    slab ? slab->blockIndexOf(block) : 0;
-                if (slab && idx < slab->capacity() &&
-                    !slab->isAllocated(idx)) {
-                    VLockGuard g(slab->arena->lock);
-                    slab->claimBlock(idx);
-                }
-                ++recovery_.wal_completions;
-                continue;
-            }
+        // The same validators the live frees run: only a block or
+        // extent that is live exactly at `block` is touched.
+        if (op == kWalAlloc && published) {
+            // Committed. Normally the allocation bit went durable
+            // before the attach word, but an early cache eviction can
+            // persist the word while the bit is lost with the cut —
+            // roll the bit forward so the reachable object is never
+            // handed out again.
+            redoAlloc(block);
+            ++recovery_.wal_completions;
+        } else if (op == kWalAlloc) {
             // Undo a torn allocation: clear the block/extent state.
-            if (slab) {
-                if (ensure_small_free(slab, block))
-                    ++recovery_.wal_undos;
-            } else if (veh && veh->off == block &&
-                       veh->state == Veh::State::Activated &&
-                       !veh->is_slab) {
-                large_.free(block);
+            if (releaseLive(block))
                 ++recovery_.wal_undos;
-            }
-        } else if (op == kWalFree) {
-            if (published)
-                continue; // the free never reached its commit point
-            // Complete a torn free.
-            if (slab) {
-                unsigned old_idx = 0;
-                VLockGuard g(slab->arena->lock);
-                if (slab->isOldBlock(block, old_idx)) {
-                    slab->arena->freeOld(slab, old_idx);
-                    ++recovery_.wal_completions;
-                } else {
-                    unsigned idx = slab->blockIndexOf(block);
-                    if (idx < slab->capacity() && slab->isAllocated(idx)) {
-                        slab->arena->freeDirect(slab, idx);
-                        ++recovery_.wal_completions;
-                    }
-                }
-            } else if (veh && veh->off == block &&
-                       veh->state == Veh::State::Activated &&
-                       !veh->is_slab) {
-                large_.free(block);
+        } else if (op == kWalFree && !published) {
+            // Complete a torn free (a published word means the free
+            // never reached its commit point).
+            if (releaseLive(block))
                 ++recovery_.wal_completions;
-            }
         }
     }
 
@@ -442,14 +397,12 @@ NvAlloc::conservativeGc()
             }
             return true;
         }
-        if (Veh *veh = large_.findVeh(v)) {
-            if (veh->state != Veh::State::Activated || veh->is_slab)
-                return false;
-            if (extent_marks.insert(veh).second)
-                work.push_back({veh->off, veh->size});
-            return true;
-        }
-        return false;
+        Veh *veh = large_.liveExtentAt(v);
+        if (!veh)
+            return false;
+        if (extent_marks.insert(veh).second)
+            work.push_back({veh->off, veh->size});
+        return true;
     };
 
     for (unsigned i = 0; i < kNumGcRoots; ++i) {

@@ -159,6 +159,24 @@ VSlab::blockIndexOf(uint64_t off) const
     return idx < geo_.capacity ? unsigned(idx) : geo_.capacity;
 }
 
+SlabBlock
+VSlab::resolveBlock(uint64_t off) const
+{
+    SlabBlock b;
+    if (isOldBlock(off, b.idx)) {
+        b.live = b.old = true;
+        b.size_class = hdr_->old_size_class;
+        return b;
+    }
+    b.idx = blockIndexOf(off);
+    if (b.idx >= geo_.capacity)
+        return b; // MisalignedFree
+    b.size_class = geo_.size_class;
+    b.live = isAllocated(b.idx);
+    b.fault = CorruptionKind::DoubleFree;
+    return b;
+}
+
 unsigned
 VSlab::popBlock()
 {

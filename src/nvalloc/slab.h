@@ -38,6 +38,7 @@
 #include "common/bitmap_ops.h"
 #include "common/lru_list.h"
 #include "common/size_classes.h"
+#include "nvalloc/hardening.h"
 #include "nvalloc/interleave.h"
 #include "nvalloc/layout.h"
 #include "nvalloc/slab_bitfield.h"
@@ -65,6 +66,23 @@ struct SlabGeometry
         g.map = InterleaveMap::build(g.capacity, 1, stripes);
         return g;
     }
+};
+
+/**
+ * What a device offset names inside a slab: the verdict of
+ * VSlab::resolveBlock, the one small-block liveness check that every
+ * free, tx apply and WAL replay runs.
+ */
+struct SlabBlock
+{
+    bool live = false; //!< an allocated block starts exactly here
+    bool old = false;  //!< ...of the old geometry (a blocks_before)
+    /** Block index in its geometry. Valid unless `fault` is
+     *  MisalignedFree: a DoubleFree verdict keeps it, so recovery can
+     *  claim the block and the lock-free free can arbitrate on it. */
+    unsigned idx = 0;
+    unsigned size_class = 0;
+    CorruptionKind fault = CorruptionKind::MisalignedFree; //!< if !live
 };
 
 class VSlab
@@ -108,6 +126,16 @@ class VSlab
     /** Logical block index of a device offset, or capacity() if the
      *  offset is not a block start of the current geometry. */
     unsigned blockIndexOf(uint64_t off) const;
+
+    /**
+     * Resolve `off` for a free or a replay: a live old-geometry block,
+     * a live current-geometry block, or the fault a free of it is
+     * (MisalignedFree: no block starts there; DoubleFree: the block is
+     * free). Pure; the caller holds the arena lock, or the fast-op gate
+     * with the slab not morphing, so the verdict stays true while it
+     * acts on it.
+     */
+    SlabBlock resolveBlock(uint64_t off) const;
 
     /** Cache line (within the persistent bitmap) holding this block's
      *  bit; tcaches bucket blocks by this. */

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -406,6 +407,99 @@ TEST(CApi, HostileFreeContractUnderFullHardening)
     ASSERT_NE(nvalloc_malloc_to(inst, 256, root), nullptr);
     EXPECT_EQ(nvalloc_free_from(inst, root), NVALLOC_OK);
     nvalloc_exit(inst);
+}
+
+/**
+ * Two threads free the same block at once, `rounds` times: exactly one
+ * free of each round succeeds and the other is a counted double free —
+ * no panic, no second success — and the heap audits clean afterwards.
+ */
+void
+raceDoubleFree(const nvalloc_options &opts, size_t size, unsigned rounds)
+{
+    PmDevice dev;
+    NvInstance *inst = nullptr;
+    ASSERT_EQ(nvalloc_open_ex(&dev, &opts, &inst), NVALLOC_OK);
+    NvAlloc &heap = *nvalloc_impl(inst);
+    ThreadCtx *owner = heap.attachThread();
+    ASSERT_NE(owner, nullptr);
+
+    std::atomic<uint64_t> target{0};
+    std::atomic<unsigned> round{0}, finished{0}, oks{0}, rejects{0};
+    // Each racer clears its own persistent word, so both frees flush
+    // before they retire — the window a check-then-act validator loses.
+    auto racer = [&](uint64_t *word) {
+        ThreadCtx *ctx = heap.attachThread();
+        for (unsigned r = 1; r <= rounds; ++r) {
+            // Busy-wait so both racers leave the barrier together;
+            // yield now and then for hosts with fewer cores.
+            for (unsigned spin = 1;
+                 round.load(std::memory_order_acquire) < r; ++spin) {
+                if (spin % 4096 == 0)
+                    std::this_thread::yield();
+            }
+            NvStatus st = heap.freeOffset(
+                *ctx, target.load(std::memory_order_relaxed), word);
+            (st == NvStatus::Ok ? oks : rejects).fetch_add(1);
+            finished.fetch_add(1, std::memory_order_release);
+        }
+        heap.detachThread(ctx);
+    };
+    std::thread a(racer, heap.rootWord(1)), b(racer, heap.rootWord(2));
+    unsigned bad_rounds = 0;
+    for (unsigned r = 1; r <= rounds; ++r) {
+        uint64_t off = heap.allocOffset(*owner, size, nullptr);
+        if (off == 0)
+            break;
+        target.store(off, std::memory_order_relaxed);
+        round.store(r, std::memory_order_release);
+        while (finished.load(std::memory_order_acquire) < 2 * r)
+            std::this_thread::yield();
+        if (oks.load() != r || rejects.load() != r)
+            ++bad_rounds;
+    }
+    // Release the racers even if an allocation failed above.
+    round.store(rounds, std::memory_order_release);
+    a.join();
+    b.join();
+
+    EXPECT_EQ(oks.load(), rounds);
+    EXPECT_EQ(rejects.load(), rounds);
+    EXPECT_EQ(bad_rounds, 0u);
+    uint64_t doubled = 0;
+    EXPECT_EQ(nvalloc_ctl(inst, "stats.hardening.double_frees", &doubled),
+              NVALLOC_OK);
+    EXPECT_EQ(doubled, uint64_t(rounds));
+    heap.detachThread(owner);
+    AuditReport rep = HeapAuditor(heap).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+    nvalloc_exit(inst);
+}
+
+nvalloc_options
+fullHardening()
+{
+    nvalloc_options opts;
+    nvalloc_options_init(&opts);
+    opts.redzone_canaries = 1;
+    opts.quarantine_depth = 8;
+    return opts;
+}
+
+TEST(CApi, RacingDoubleFreeOfAnExtentIsOneOkOneEinval)
+{
+    // The extent validator runs under the large allocator's lock with
+    // the retirement, so the loser sees a free extent, not an assert.
+    raceDoubleFree(fullHardening(), 64 * 1024, 3000);
+}
+
+TEST(CApi, RacingDoubleFreeOfASmallBlockIsOneOkOneEinval)
+{
+    // Locked pipeline (canaries + quarantine), then the lock-free one.
+    raceDoubleFree(fullHardening(), 256, 3000);
+    nvalloc_options plain;
+    nvalloc_options_init(&plain);
+    raceDoubleFree(plain, 256, 3000);
 }
 
 TEST(CApi, CrossHeapFreeIsEinvalAndAttributed)

@@ -99,6 +99,77 @@ TEST_F(LargeFixture, SplitLeavesRemainderFree)
     EXPECT_GE(rest->size, 192u * 1024u);
 }
 
+/** Split a fresh region twice; every 16 KB granule must resolve to
+ *  the extent that now owns it. */
+void
+expectSplitMapsEveryGranule(LargeAllocator &large)
+{
+    uint64_t a = large.allocate(128 * 1024, false);
+    uint64_t b = large.allocate(48 * 1024, false);
+    ASSERT_EQ(b, a + 128 * 1024) << "second split of the region";
+    Veh *front = large.findVeh(a);
+    Veh *rest = large.findVeh(b + 48 * 1024);
+    ASSERT_NE(rest, nullptr);
+    EXPECT_EQ(rest->off, b + 48 * 1024);
+    EXPECT_EQ(rest->state, Veh::State::Reclaimed);
+    EXPECT_EQ(rest->off + rest->size,
+              a - kRegionHeaderSize + kRegionSize)
+        << "the remainder runs to the region's end";
+    for (uint64_t g = a; g < a + 128 * 1024; g += kExtentAlign)
+        EXPECT_EQ(large.findVeh(g), front) << "front granule " << g;
+    for (uint64_t g = b; g < b + 48 * 1024; g += kExtentAlign)
+        EXPECT_EQ(large.findVeh(g)->off, b) << "second granule " << g;
+    for (uint64_t g = rest->off; g < rest->off + rest->size;
+         g += kExtentAlign)
+        ASSERT_EQ(large.findVeh(g), rest) << "remainder granule " << g;
+}
+
+// splitFront rewrites only the front's radix entries: the remainder's
+// already name the extent that keeps them.
+TEST_F(LargeFixture, SplitMapsEveryGranuleToItsOwnExtent)
+{
+    init(true);
+    expectSplitMapsEveryGranule(*large_);
+}
+
+TEST_F(LargeFixture, SplitMapsEveryGranuleToItsOwnExtentInPlace)
+{
+    init(false);
+    expectSplitMapsEveryGranule(*large_);
+}
+
+TEST_F(LargeFixture, FreeCheckedClassifiesAndJournalsOnlyLiveExtents)
+{
+    init(true);
+    uint64_t a = large_->allocate(64 * 1024, false);
+    uint64_t slab = large_->allocate(kSlabSize, true);
+    unsigned journaled = 0;
+    auto journal = [&] { ++journaled; };
+    CorruptionKind why{};
+
+    EXPECT_EQ(large_->freeChecked(a + kExtentAlign, &why, journal), 0u);
+    EXPECT_EQ(why, CorruptionKind::MisalignedFree) << "interior";
+    EXPECT_EQ(large_->freeChecked(slab, &why, journal), 0u);
+    EXPECT_EQ(why, CorruptionKind::MisalignedFree) << "a slab";
+    EXPECT_EQ(large_->freeChecked(dev_->size() - kExtentAlign, &why,
+                                  journal),
+              0u);
+    EXPECT_EQ(why, CorruptionKind::WildFree);
+    EXPECT_EQ(journaled, 0u) << "no rejected free journals";
+    EXPECT_TRUE(large_->freeable(a));
+    EXPECT_EQ(large_->liveExtentAt(a + kExtentAlign), large_->findVeh(a));
+
+    EXPECT_EQ(large_->freeChecked(a, &why, journal), 64u * 1024u);
+    EXPECT_EQ(journaled, 1u);
+    EXPECT_FALSE(large_->freeable(a, &why));
+    EXPECT_EQ(why, CorruptionKind::DoubleFree);
+    EXPECT_EQ(large_->liveExtentAt(a), nullptr);
+    EXPECT_EQ(large_->freeChecked(a, &why, journal), 0u);
+    EXPECT_EQ(why, CorruptionKind::DoubleFree);
+    EXPECT_EQ(journaled, 1u);
+    EXPECT_EQ(large_->stats().frees, 1u) << "rejections retire nothing";
+}
+
 TEST_F(LargeFixture, CoalesceMergesNeighbors)
 {
     init(true);
