@@ -53,7 +53,7 @@ main()
             kv->put(*ctx, "key-" + std::to_string(i), "updated");
         heap.simulateCrash();
         std::printf("crashed mid-update (records so far: %llu)\n",
-                    (unsigned long long)kv->stats().records.load());
+                    (unsigned long long)kv->count());
         heap.detachThread(ctx);
     }
 
@@ -98,7 +98,7 @@ main()
             return 1;
         }
         std::printf("verify: clean (%llu records rebuilt)\n",
-                    (unsigned long long)kv->stats().records.load());
+                    (unsigned long long)kv->count());
     }
     return 0;
 }

@@ -164,6 +164,8 @@ KvStore::open(NvAlloc &heap, const KvOptions &opt, KvStatus *why)
     store->stats_.buckets.store(store->buckets_,
                                 std::memory_order_relaxed);
     store->stats_.chain_len = store->chain_len_.data();
+    for (const Stripe &st : store->stripes_)
+        store->stats_.stripes.push_back(&st.ctr);
     heap.attachKvStats(&store->stats_);
     if (why)
         *why = KvStatus::Ok;
@@ -182,20 +184,18 @@ KvStore::create(const KvOptions &opt)
     ScopedThread t(heap_);
     if (!t.ctx)
         return KvStatus::Invalid;
-    NvStatus s = heap_.txBegin(*t.ctx);
-    if (s == NvStatus::HeapUnhealthy) {
-        bump(stats_.rejected_unhealthy);
-        return KvStatus::HeapUnhealthy;
-    }
-    if (s != NvStatus::Ok)
-        return KvStatus::Invalid;
+    // Open is single-threaded: the creation tx counts on stripe 0.
+    KvCounters &ctr = stripes_[0].ctr;
+    if (KvStatus r = txBeginStatus(heap_.txBegin(*t.ctx), ctr);
+        r != KvStatus::Ok)
+        return r;
 
     // One tx creates the whole store: bucket table + super, the super
     // published into the root word at commit. A crash anywhere leaves
     // either no store (rolled back) or a complete empty one.
     uint64_t table = heap_.txAlloc(*t.ctx, buckets_ * 8, nullptr);
     if (!table) {
-        KvStatus r = mapAllocFailure();
+        KvStatus r = mapAllocFailure(ctr);
         heap_.txAbort(*t.ctx);
         return r;
     }
@@ -206,7 +206,7 @@ KvStore::create(const KvOptions &opt)
     uint64_t soff = heap_.txAlloc(*t.ctx, sizeof(KvSuper),
                                   heap_.rootWord(root_index_));
     if (!soff) {
-        KvStatus r = mapAllocFailure();
+        KvStatus r = mapAllocFailure(ctr);
         heap_.txAbort(*t.ctx);
         return r;
     }
@@ -255,32 +255,32 @@ KvStore::rebuild()
     // the volatile cached index (chain lengths, record/byte gauges)
     // and validates each record. The tx layer has already resolved
     // in-flight mutations before this runs, so the walk sees only
-    // committed state.
+    // committed state. Each stripe's gauges count the records of its
+    // own buckets.
     bump(stats_.rebuilds);
     chain_len_ = std::vector<std::atomic<uint32_t>>(size_t(buckets_));
-    uint64_t recs = 0, kb = 0, vb = 0;
+    uint64_t recs = 0;
     for (uint64_t b = 0; b < buckets_; ++b) {
+        KvCounters &c = stripeOf(b).ctr;
         uint64_t off = bucketWord(b)[0];
         uint64_t steps = 0;
         while (off) {
             if (++steps > kMaxChainSteps || !recordSane(off)) {
-                bump(stats_.corrupt_records);
+                bump(c.corrupt_records);
                 break;
             }
             const RecordHeader *h =
                 static_cast<const RecordHeader *>(heap_.at(off));
             if (!recordCrcOk(off))
-                bump(stats_.corrupt_records);
+                bump(c.corrupt_records);
             ++recs;
-            kb += h->klen;
-            vb += h->vlen;
+            bump(c.records);
+            bump(c.key_bytes, h->klen);
+            bump(c.value_bytes, h->vlen);
             adjustChain(chain_len_[size_t(b)], +1);
             off = h->next;
         }
     }
-    stats_.records.store(recs, std::memory_order_relaxed);
-    stats_.key_bytes.store(kb, std::memory_order_relaxed);
-    stats_.value_bytes.store(vb, std::memory_order_relaxed);
     bump(stats_.rebuilt_records, recs);
     return KvStatus::Ok;
 }
@@ -291,7 +291,7 @@ KvStore::bucketOf(std::string_view key) const
     return hashKey(key) & bucket_mask_;
 }
 
-VLock &
+KvStore::Stripe &
 KvStore::stripeOf(uint64_t bucket)
 {
     return stripes_[size_t(bucket) % kStripes];
@@ -349,7 +349,7 @@ KvStore::findLocked(uint64_t bucket, std::string_view key)
     while (*link) {
         uint64_t off = *link;
         if (++steps > kMaxChainSteps || !recordSane(off)) {
-            bump(stats_.corrupt_records);
+            bump(stripeOf(bucket).ctr.corrupt_records);
             r.corrupt = true;
             return r;
         }
@@ -369,24 +369,34 @@ KvStore::findLocked(uint64_t bucket, std::string_view key)
 }
 
 KvStatus
-KvStore::refuse()
+KvStore::refuse(KvCounters &c)
 {
     if (heap_.config().fault_containment &&
         unsigned(heap_.health()) >= unsigned(HeapHealth::Degraded)) {
-        bump(stats_.rejected_unhealthy);
+        bump(c.rejected_unhealthy);
         return KvStatus::HeapUnhealthy;
     }
     return KvStatus::Ok;
 }
 
 KvStatus
-KvStore::mapAllocFailure()
+KvStore::txBeginStatus(NvStatus s, KvCounters &c)
+{
+    if (s == NvStatus::HeapUnhealthy) {
+        bump(c.rejected_unhealthy);
+        return KvStatus::HeapUnhealthy;
+    }
+    return s == NvStatus::Ok ? KvStatus::Ok : KvStatus::Invalid;
+}
+
+KvStatus
+KvStore::mapAllocFailure(KvCounters &c)
 {
     if (heap_.lastStatus() == NvStatus::QuotaExceeded) {
-        bump(stats_.rejected_quota);
+        bump(c.rejected_quota);
         return KvStatus::QuotaExceeded;
     }
-    bump(stats_.failed_allocs);
+    bump(c.failed_allocs);
     return KvStatus::OutOfMemory;
 }
 
@@ -398,10 +408,11 @@ KvStore::put(ThreadCtx &ctx, std::string_view key,
         return KvStatus::Invalid;
     if (key.size() > kMaxKeyLen || value.size() > kMaxValueLen)
         return KvStatus::TooLarge;
-    if (KvStatus r = refuse(); r != KvStatus::Ok)
-        return r;
     uint64_t b = bucketOf(key);
-    VLockGuard g(stripeOf(b));
+    Stripe &st = stripeOf(b);
+    if (KvStatus r = refuse(st.ctr); r != KvStatus::Ok)
+        return r;
+    VLockGuard g(st.lock);
     return putLocked(ctx, b, key, value);
 }
 
@@ -413,13 +424,10 @@ KvStore::putLocked(ThreadCtx &ctx, uint64_t b, std::string_view key,
     if (f.corrupt)
         return KvStatus::Corrupt;
 
-    NvStatus s = heap_.txBegin(ctx);
-    if (s == NvStatus::HeapUnhealthy) {
-        bump(stats_.rejected_unhealthy);
-        return KvStatus::HeapUnhealthy;
-    }
-    if (s != NvStatus::Ok)
-        return KvStatus::Invalid;
+    KvCounters &c = stripeOf(b).ctr;
+    if (KvStatus r = txBeginStatus(heap_.txBegin(ctx), c);
+        r != KvStatus::Ok)
+        return r;
 
     uint32_t old_vlen = 0;
     if (f.off) {
@@ -438,38 +446,47 @@ KvStore::putLocked(ThreadCtx &ctx, uint64_t b, std::string_view key,
     size_t need = kRecordHeader + key.size() + value.size();
     uint64_t noff = heap_.txAlloc(ctx, need, bucketWord(b));
     if (!noff) {
-        KvStatus r = mapAllocFailure();
+        KvStatus r = mapAllocFailure(c);
         heap_.txAbort(ctx);
         return r;
     }
     // The block is staged (unpublished) until commit, so these writes
     // need no undo logging; they just have to be durable before the
-    // commit record.
-    RecordHeader *nh = static_cast<RecordHeader *>(heap_.at(noff));
-    char *bytes = static_cast<char *>(heap_.at(noff + kRecordHeader));
-    nh->next = *bucketWord(b); // post-unlink chain head
-    nh->vlen = uint32_t(value.size());
-    nh->klen = uint16_t(key.size());
-    nh->flags = 0;
-    nh->pad = 0;
-    nh->crc = recordCrc(nh->klen, nh->vlen, key, value);
-    std::memcpy(bytes, key.data(), key.size());
-    std::memcpy(bytes + key.size(), value.data(), value.size());
-    heap_.device().persist(nh, kRecordHeader + key.size() + value.size(),
-                           TimeKind::FlushData);
+    // commit record. The record is assembled here and stored word-wise
+    // (storeLiveWords): its first and last lines may hold neighbouring
+    // records that other threads flush. The zero padding to a whole
+    // word stays inside the block: block sizes are multiples of 8 B,
+    // and a redzone canary sits past the padded size.
+    RecordHeader nh{};
+    nh.next = *bucketWord(b); // post-unlink chain head
+    nh.vlen = uint32_t(value.size());
+    nh.klen = uint16_t(key.size());
+    nh.flags = 0;
+    nh.pad = 0;
+    nh.crc = recordCrc(nh.klen, nh.vlen, key, value);
+    thread_local std::string rec;
+    rec.resize((need + 7) & ~size_t{7});
+    std::memcpy(rec.data(), &nh, kRecordHeader);
+    std::memcpy(rec.data() + kRecordHeader, key.data(), key.size());
+    std::memcpy(rec.data() + kRecordHeader + key.size(), value.data(),
+                value.size());
+    std::memset(rec.data() + need, 0, rec.size() - need);
+    storeLiveWords(static_cast<char *>(heap_.at(noff)), rec.data(),
+                   rec.size());
+    heap_.device().persist(heap_.at(noff), need, TimeKind::FlushData);
 
     if (heap_.txCommit(ctx) != NvStatus::Ok)
         return KvStatus::Invalid;
 
     if (f.off) {
-        bump(stats_.updates);
-        bump(stats_.value_bytes, value.size());
-        drop(stats_.value_bytes, old_vlen);
+        bump(c.updates);
+        bump(c.value_bytes, value.size());
+        drop(c.value_bytes, old_vlen);
     } else {
-        bump(stats_.inserts);
-        bump(stats_.records);
-        bump(stats_.key_bytes, key.size());
-        bump(stats_.value_bytes, value.size());
+        bump(c.inserts);
+        bump(c.records);
+        bump(c.key_bytes, key.size());
+        bump(c.value_bytes, value.size());
         adjustChain(chain_len_[size_t(b)], +1);
     }
     return KvStatus::Ok;
@@ -482,23 +499,24 @@ KvStore::get(std::string_view key, std::string *out)
         return KvStatus::Invalid;
     if (key.size() > kMaxKeyLen)
         return KvStatus::TooLarge; // symmetric with the put-side refusal
-    if (KvStatus r = refuse(); r != KvStatus::Ok)
-        return r;
-    bump(stats_.gets);
     uint64_t b = bucketOf(key);
-    VLockGuard g(stripeOf(b));
+    Stripe &st = stripeOf(b);
+    if (KvStatus r = refuse(st.ctr); r != KvStatus::Ok)
+        return r;
+    bump(st.ctr.gets);
+    VLockGuard g(st.lock);
     FindResult f = findLocked(b, key);
     if (f.corrupt)
         return KvStatus::Corrupt;
     if (!f.off) {
-        bump(stats_.misses);
+        bump(st.ctr.misses);
         return KvStatus::NotFound;
     }
     if (!recordCrcOk(f.off)) {
-        bump(stats_.corrupt_records);
+        bump(st.ctr.corrupt_records);
         return KvStatus::Corrupt;
     }
-    bump(stats_.hits);
+    bump(st.ctr.hits);
     if (out) {
         const RecordHeader *h =
             static_cast<const RecordHeader *>(heap_.at(f.off));
@@ -516,23 +534,20 @@ KvStore::erase(ThreadCtx &ctx, std::string_view key)
         return KvStatus::Invalid;
     if (key.size() > kMaxKeyLen)
         return KvStatus::TooLarge;
-    if (KvStatus r = refuse(); r != KvStatus::Ok)
-        return r;
     uint64_t b = bucketOf(key);
-    VLockGuard g(stripeOf(b));
+    Stripe &st = stripeOf(b);
+    if (KvStatus r = refuse(st.ctr); r != KvStatus::Ok)
+        return r;
+    VLockGuard g(st.lock);
     FindResult f = findLocked(b, key);
     if (f.corrupt)
         return KvStatus::Corrupt;
     if (!f.off)
         return KvStatus::NotFound;
 
-    NvStatus s = heap_.txBegin(ctx);
-    if (s == NvStatus::HeapUnhealthy) {
-        bump(stats_.rejected_unhealthy);
-        return KvStatus::HeapUnhealthy;
-    }
-    if (s != NvStatus::Ok)
-        return KvStatus::Invalid;
+    if (KvStatus r = txBeginStatus(heap_.txBegin(ctx), st.ctr);
+        r != KvStatus::Ok)
+        return r;
     RecordHeader *h = static_cast<RecordHeader *>(heap_.at(f.off));
     uint16_t klen = h->klen;
     uint32_t vlen = h->vlen;
@@ -548,10 +563,10 @@ KvStore::erase(ThreadCtx &ctx, std::string_view key)
     if (heap_.txCommit(ctx) != NvStatus::Ok)
         return KvStatus::Invalid;
 
-    bump(stats_.erases);
-    drop(stats_.records);
-    drop(stats_.key_bytes, klen);
-    drop(stats_.value_bytes, vlen);
+    bump(st.ctr.erases);
+    drop(st.ctr.records);
+    drop(st.ctr.key_bytes, klen);
+    drop(st.ctr.value_bytes, vlen);
     adjustChain(chain_len_[size_t(b)], -1);
     return KvStatus::Ok;
 }
@@ -564,17 +579,18 @@ KvStore::rmw(ThreadCtx &ctx, std::string_view key,
         return KvStatus::Invalid;
     if (key.size() > kMaxKeyLen)
         return KvStatus::TooLarge;
-    if (KvStatus r = refuse(); r != KvStatus::Ok)
-        return r;
     uint64_t b = bucketOf(key);
-    VLockGuard g(stripeOf(b));
+    Stripe &st = stripeOf(b);
+    if (KvStatus r = refuse(st.ctr); r != KvStatus::Ok)
+        return r;
+    VLockGuard g(st.lock);
     FindResult f = findLocked(b, key);
     if (f.corrupt)
         return KvStatus::Corrupt;
     std::string_view old;
     if (f.off) {
         if (!recordCrcOk(f.off)) {
-            bump(stats_.corrupt_records);
+            bump(st.ctr.corrupt_records);
             return KvStatus::Corrupt;
         }
         const RecordHeader *h =
@@ -588,7 +604,7 @@ KvStore::rmw(ThreadCtx &ctx, std::string_view key,
     std::string next = fn(old);
     KvStatus r = putLocked(ctx, b, key, next);
     if (r == KvStatus::Ok)
-        bump(stats_.rmws);
+        bump(st.ctr.rmws);
     return r;
 }
 
@@ -598,20 +614,23 @@ KvStore::scan(std::string_view start_key, unsigned n,
 {
     if (start_key.empty() || !out)
         return KvStatus::Invalid;
-    if (KvStatus r = refuse(); r != KvStatus::Ok)
-        return r;
-    bump(stats_.scans);
-    out->clear();
     uint64_t b0 = bucketOf(start_key);
+    KvCounters &c0 = stripeOf(b0).ctr;
+    if (KvStatus r = refuse(c0); r != KvStatus::Ok)
+        return r;
+    bump(c0.scans);
+    out->clear();
     for (uint64_t i = 0; i < buckets_ && out->size() < n; ++i) {
         uint64_t b = (b0 + i) & bucket_mask_;
-        VLockGuard g(stripeOf(b));
+        Stripe &st = stripeOf(b);
+        VLockGuard g(st.lock);
         uint64_t off = bucketWord(b)[0];
         uint64_t steps = 0;
+        size_t before = out->size();
         while (off && out->size() < n) {
             if (++steps > kMaxChainSteps || !recordSane(off) ||
                 !recordCrcOk(off)) {
-                bump(stats_.corrupt_records);
+                bump(st.ctr.corrupt_records);
                 break;
             }
             const RecordHeader *h =
@@ -622,8 +641,8 @@ KvStore::scan(std::string_view start_key, unsigned n,
                               std::string(bytes + h->klen, h->vlen));
             off = h->next;
         }
+        bump(st.ctr.scanned_records, out->size() - before);
     }
-    bump(stats_.scanned_records, out->size());
     return KvStatus::Ok;
 }
 
@@ -632,17 +651,18 @@ KvStore::verify()
 {
     uint64_t bad = 0;
     for (uint64_t b = 0; b < buckets_; ++b) {
-        VLockGuard g(stripeOf(b));
+        Stripe &st = stripeOf(b);
+        VLockGuard g(st.lock);
         uint64_t off = bucketWord(b)[0];
         uint64_t steps = 0;
         while (off) {
             if (++steps > kMaxChainSteps || !recordSane(off)) {
-                bump(stats_.corrupt_records);
+                bump(st.ctr.corrupt_records);
                 ++bad;
                 break;
             }
             if (!recordCrcOk(off)) {
-                bump(stats_.corrupt_records);
+                bump(st.ctr.corrupt_records);
                 ++bad;
             }
             off = static_cast<const RecordHeader *>(heap_.at(off))
@@ -655,7 +675,7 @@ KvStore::verify()
 uint64_t
 KvStore::count() const
 {
-    return stats_.records.load(std::memory_order_relaxed);
+    return stats_.sum(&KvCounters::records);
 }
 
 uint64_t
@@ -664,7 +684,7 @@ KvStore::recordOffset(std::string_view key)
     if (key.empty() || key.size() > kMaxKeyLen)
         return 0;
     uint64_t b = bucketOf(key);
-    VLockGuard g(stripeOf(b));
+    VLockGuard g(stripeOf(b).lock);
     FindResult f = findLocked(b, key);
     return f.off;
 }

@@ -23,7 +23,9 @@
  * hold a pointer into poison-filled memory and trip the quarantine's
  * use-after-free detector with a false positive. With readers
  * excluded for the (virtual-time-modelled) critical section, a freed
- * record is unreachable before it is ever poisoned.
+ * record is unreachable before it is ever poisoned. Each stripe also
+ * carries the stats.kv.* counters of the ops that hash to it, so no op
+ * writes a counter line that every thread writes (kv_stats.h).
  *
  * Nothing volatile is required for correctness: open() walks every
  * chain once to rebuild the cached index (per-bucket chain lengths and
@@ -35,6 +37,7 @@
 #ifndef NVALLOC_KV_KV_STORE_H
 #define NVALLOC_KV_KV_STORE_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -148,6 +151,8 @@ class KvStore
     uint64_t count() const;
     uint64_t buckets() const { return buckets_; }
     NvAlloc &heap() { return heap_; }
+    /** The attached counter block; per-stripe counters are read
+     *  through stats().sum(&KvCounters::field). */
     const KvStats &stats() const { return stats_; }
     /** Longest current chain (volatile index; racy snapshot). */
     uint64_t maxChain() const { return stats_.maxChain(); }
@@ -178,8 +183,16 @@ class KvStore
     KvStatus attach(uint64_t super_off);
     KvStatus rebuild();
 
+    /** One bucket stripe: its lock and the counters of the ops that
+     *  hash to it, on lines no other stripe writes. */
+    struct alignas(64) Stripe
+    {
+        VLock lock;
+        KvCounters ctr;
+    };
+
     uint64_t bucketOf(std::string_view key) const;
-    VLock &stripeOf(uint64_t bucket);
+    Stripe &stripeOf(uint64_t bucket);
     uint64_t *bucketWord(uint64_t bucket);
 
     /** Header/bounds sanity for a chain offset; does not touch the
@@ -193,8 +206,9 @@ class KvStore
     FindResult findLocked(uint64_t bucket, std::string_view key);
     KvStatus putLocked(ThreadCtx &ctx, uint64_t bucket,
                        std::string_view key, std::string_view value);
-    KvStatus refuse();
-    KvStatus mapAllocFailure();
+    KvStatus refuse(KvCounters &c);
+    static KvStatus txBeginStatus(NvStatus s, KvCounters &c);
+    KvStatus mapAllocFailure(KvCounters &c);
 
     NvAlloc &heap_;
     const unsigned root_index_;
@@ -203,7 +217,7 @@ class KvStore
     uint64_t bucket_mask_ = 0;
 
     static constexpr unsigned kStripes = 64;
-    std::vector<VLock> stripes_{kStripes};
+    std::array<Stripe, kStripes> stripes_;
     /** Volatile cached index: per-bucket chain length, rebuilt on
      *  open, maintained under the stripe locks (atomic only so that
      *  stats.kv.max_chain can scan it lock-free). */

@@ -1007,7 +1007,7 @@ HeapAuditor::checkTxRecords()
                 continue;
             }
             if (r.op_slots.empty() || r.commit || r.abort ||
-                a_.tx_mgr_.isOpen(id))
+                a_.txIsOpen(id))
                 continue;
             ++rep_.tx_orphan_entries;
             note(fmt("wal ring %llu: orphaned entries of tx %llu", slot,

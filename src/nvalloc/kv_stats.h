@@ -11,9 +11,14 @@
  * attached. This keeps the layering acyclic — nvalloc/ never depends
  * on kv/, it only exposes the mount point.
  *
- * All fields are relaxed atomics: bumped on KV op paths (under the
- * store's bucket stripe locks or not at all), read lock-free by
- * nvalloc_stat / ctlRead.
+ * Where each counter lives: the op counters and the record/byte gauges
+ * are split into one KvCounters block per bucket stripe of the store
+ * (it sits next to the stripe's lock, on lines no other stripe writes),
+ * bumped by the ops that hash to that stripe; the ctl readers sum the
+ * stripes (KvStats::sum). Only the open-time figures (buckets,
+ * rebuilds, rebuilt_records) are store-wide. All fields are relaxed
+ * atomics, read lock-free by nvalloc_stat / ctlRead; a sum taken while
+ * ops run is a racy snapshot, exact once they have returned.
  */
 
 #ifndef NVALLOC_NVALLOC_KV_STATS_H
@@ -21,10 +26,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 namespace nvalloc {
 
-struct KvStats
+/** One bucket stripe's share of the stats.kv.* op counters. */
+struct KvCounters
 {
     // Mutation traffic (each counted once per *successful* op).
     std::atomic<uint64_t> inserts{0}; //!< puts creating a new key
@@ -45,19 +52,37 @@ struct KvStats
     std::atomic<uint64_t> rejected_quota{0};     //!< inserts refused by the tenant quota
     std::atomic<uint64_t> failed_allocs{0};      //!< other txAlloc failures
 
-    // Gauges (rebuilt on open, maintained under stripe locks).
+    // Gauges: this stripe's records (rebuilt on open, maintained under
+    // the stripe lock). Summed over the stripes they are the store's.
     std::atomic<uint64_t> records{0};
     std::atomic<uint64_t> key_bytes{0};
     std::atomic<uint64_t> value_bytes{0};
-    std::atomic<uint64_t> buckets{0};
+};
 
-    // Recovery.
+/** The block a KvStore attaches to its heap: its stripes' counters
+ *  and the store-wide figures set at open. */
+struct KvStats
+{
+    /** Every stripe's counters, set before the block attaches. */
+    std::vector<const KvCounters *> stripes;
+
+    std::atomic<uint64_t> buckets{0};
     std::atomic<uint64_t> rebuilds{0};        //!< open-time index rebuilds
     std::atomic<uint64_t> rebuilt_records{0}; //!< records walked by rebuilds
 
     /** The store's volatile per-bucket chain lengths (`buckets`
      *  entries), set before the block attaches. Read by maxChain(). */
     const std::atomic<uint32_t> *chain_len = nullptr;
+
+    /** A KvCounters field summed over the stripes. */
+    uint64_t
+    sum(std::atomic<uint64_t> KvCounters::*field) const
+    {
+        uint64_t n = 0;
+        for (const KvCounters *c : stripes)
+            n += (c->*field).load(std::memory_order_relaxed);
+        return n;
+    }
 
     /** Longest current chain, scanned at read time so the
      *  stats.kv.max_chain gauge adds no store to the op paths (racy

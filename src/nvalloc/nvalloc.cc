@@ -294,14 +294,21 @@ NvAlloc::isQuarantined(uint64_t off) const
         if (sb_->quarantine[i] == off)
             return true;
     }
-    return false;
+    std::lock_guard<std::mutex> g(quarantine_mu_);
+    return std::find(quarantine_overflow_.begin(),
+                     quarantine_overflow_.end(),
+                     off) != quarantine_overflow_.end();
 }
 
 std::vector<uint64_t>
 NvAlloc::quarantinedSlabs() const
 {
     unsigned n = std::min(sb_->quarantine_count, kQuarantineSlots);
-    return std::vector<uint64_t>(sb_->quarantine, sb_->quarantine + n);
+    std::vector<uint64_t> out(sb_->quarantine, sb_->quarantine + n);
+    std::lock_guard<std::mutex> g(quarantine_mu_);
+    out.insert(out.end(), quarantine_overflow_.begin(),
+               quarantine_overflow_.end());
+    return out;
 }
 
 void
@@ -311,9 +318,13 @@ NvAlloc::quarantineSlab(uint64_t off)
     if (isQuarantined(off))
         return;
     if (sb_->quarantine_count >= kQuarantineSlots) {
-        // List full: the slab is still skipped this run, but the
-        // refusal will have to be re-derived after the next crash.
-        NV_WARN("quarantine list full; slab refusal not recorded");
+        // List full: the refusal is kept for this run only, so the
+        // slab still reads as quarantined (the auditor's slab/extent
+        // cross-check included); after the next crash recovery finds
+        // the bad header again and re-derives it.
+        NV_WARN("quarantine list full; slab refusal kept in memory");
+        std::lock_guard<std::mutex> g(quarantine_mu_);
+        quarantine_overflow_.push_back(off);
         return;
     }
     // Persist the slot before the count: the count commits the entry,
@@ -432,6 +443,7 @@ NvAlloc::detachThread(ThreadCtx *ctx)
     // Keep the departing ring's append count for stats.wal.commits
     // (the slot's sequence restarts at zero on the next attach).
     wal_retired_commits_ += ctx->wal.sequence();
+    tx_retired_.add(ctx->tx_ctr);
     ctxs_.erase(std::find(ctxs_.begin(), ctxs_.end(), ctx));
     delete ctx;
 }
@@ -444,6 +456,37 @@ NvAlloc::walCommits()
     for (const ThreadCtx *ctx : ctxs_)
         sum += ctx->wal.sequence();
     return sum;
+}
+
+uint64_t
+NvAlloc::txCount(std::atomic<uint64_t> TxCounters::*field)
+{
+    std::lock_guard<std::mutex> g(attach_mutex_);
+    uint64_t sum = (tx_retired_.*field).load(std::memory_order_relaxed);
+    for (const ThreadCtx *ctx : ctxs_)
+        sum += (ctx->tx_ctr.*field).load(std::memory_order_relaxed);
+    return sum;
+}
+
+uint64_t
+NvAlloc::txOpenCount()
+{
+    std::lock_guard<std::mutex> g(attach_mutex_);
+    uint64_t n = 0;
+    for (const ThreadCtx *ctx : ctxs_)
+        n += ctx->tx.open();
+    return n;
+}
+
+bool
+NvAlloc::txIsOpen(uint32_t id)
+{
+    std::lock_guard<std::mutex> g(attach_mutex_);
+    for (const ThreadCtx *ctx : ctxs_) {
+        if (ctx->tx.current() == id)
+            return true;
+    }
+    return false;
 }
 
 uint64_t *
@@ -934,7 +977,11 @@ NvAlloc::stampCanary(uint64_t off, unsigned block_size)
     uint64_t *w = reinterpret_cast<uint64_t *>(
         static_cast<char *>(dev_.at(off)) + block_size -
         HardeningManager::kCanaryBytes);
-    *w = HardeningManager::canaryValue(off);
+    // A relaxed atomic store, as in publish(): the canary ends the
+    // block, so its line may hold the next block's header, which
+    // another thread may be flushing (the flush copies the whole line).
+    std::atomic_ref<uint64_t>(*w).store(HardeningManager::canaryValue(off),
+                                        std::memory_order_relaxed);
 }
 
 bool
@@ -1256,7 +1303,8 @@ NvAlloc::freeOffset(ThreadCtx &ctx, uint64_t off, uint64_t *where)
         return rejectFree(off, CorruptionKind::WildFree);
     // A block staged by ANY open transaction (allocated-but-unpublished
     // or pending a deferred free) is off-limits to plain free until
-    // the transaction resolves. One relaxed load when no tx is staging.
+    // the transaction resolves. One relaxed load when no tx has staged
+    // an offset in this offset's registry stripe.
     if (tx_mgr_.isStaged(off))
         return rejectFree(off, CorruptionKind::TxStagedFree);
 

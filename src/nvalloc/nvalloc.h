@@ -86,6 +86,9 @@ struct ThreadCtx
 
     /** Open-transaction state (tx.h). Thread-private. */
     TxContext tx;
+    /** This thread's stats.tx.* lifecycle counters (tx.h); folded into
+     *  the heap's retired total when the thread detaches. */
+    TxCounters tx_ctr;
 
     /** Tx id the internal alloc paths tag their WAL entries with; set
      *  only by the tx layer around its own allocSmall/allocLarge
@@ -404,11 +407,13 @@ class NvAlloc
     const HealthStats &healthStats() const { return health_stats_; }
 
     /** True if recovery quarantined the slab at device offset `off`
-     *  (this run or any earlier one — the list is persistent). */
+     *  (this run or any earlier one — the list is persistent — or this
+     *  run past a full list, see quarantineSlab). */
     bool isQuarantined(uint64_t off) const;
 
-    /** The persistent quarantine list: slabs whose headers could not
-     *  be trusted after a crash. Their 64 KB is deliberately leaked. */
+    /** The quarantined slabs: slabs whose headers could not be trusted
+     *  after a crash. Their 64 KB is deliberately leaked. The
+     *  persistent list first, then this run's overflow. */
     std::vector<uint64_t> quarantinedSlabs() const;
 
     /** Device offset of thread slot `slot`'s WAL ring (fault-injection
@@ -508,6 +513,18 @@ class NvAlloc
      *  allocation fast path. */
     uint64_t walCommits();
 
+    /** A stats.tx.* lifecycle counter (begins, commits, ...): the
+     *  attached threads' TxCounters summed, plus those of the threads
+     *  that have since detached. */
+    uint64_t txCount(std::atomic<uint64_t> TxCounters::*field);
+
+    /** Transactions open now (stats.tx.open): attached threads whose
+     *  TxContext holds a nonzero id. */
+    uint64_t txOpenCount();
+
+    /** Is transaction `id` open on some attached thread? */
+    bool txIsOpen(uint32_t id);
+
     LargeAllocator &large() { return large_; }
     BookkeepingLog &bookkeepingLog() { return log_; }
     Arena &arena(unsigned i) { return *arenas_[i]; }
@@ -552,11 +569,18 @@ class NvAlloc
     std::vector<ThreadCtx *> ctxs_;
     std::vector<bool> wal_slot_used_;
     uint64_t wal_retired_commits_ = 0; //!< guarded by attach_mutex_
+    TxCounters tx_retired_;            //!< guarded by attach_mutex_
     unsigned attach_cursor_ = 0;
     std::atomic<unsigned> attached_threads_{0};
 
     RecoveryInfo recovery_;
     bool crashed_ = false;
+
+    // Slabs refused after the persistent quarantine list filled
+    // (kQuarantineSlots). Volatile: a crash forgets them, and the next
+    // recovery, finding their headers still bad, refuses them again.
+    mutable std::mutex quarantine_mu_;
+    std::vector<uint64_t> quarantine_overflow_;
 
     // Degradation state (status.h).
     std::atomic<NvStatus> last_status_{NvStatus::Ok};
@@ -581,8 +605,10 @@ class NvAlloc
     // drained explicitly in ~NvAlloc while the arenas still exist.
     HardeningManager hardening_;
 
-    // Transaction bookkeeping (tx.h): open ids, the staged-offset
-    // registry the free validator probes, stats.tx.* counters.
+    // Transaction bookkeeping (tx.h): id allocation, the striped
+    // staged-offset registry the free validator probes, and the
+    // rejection counters. Open ids and the per-op counters live in
+    // each ThreadCtx.
     TxManager tx_mgr_;
 
     // The attached KV store's counter block (kv_stats.h); null while

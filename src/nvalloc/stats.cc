@@ -323,27 +323,19 @@ NvAlloc::buildCtlRegistry()
         return hs->tx_staged_frees.load(std::memory_order_relaxed);
     });
 
-    // Transaction layer (PR 6): lifecycle counters, rejections, and
-    // the live open/staged depths.
+    // Transaction layer: the lifecycle counters (summed over the
+    // threads' TxCounters), rejections, and the live open/staged
+    // depths.
     const TxStats *txs = &tx_mgr_.stats();
-    ctl_.registerName("stats.tx.begins", [txs] {
-        return txs->begins.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.commits", [txs] {
-        return txs->commits.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.aborts", [txs] {
-        return txs->aborts.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.ops_alloc", [txs] {
-        return txs->ops_alloc.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.ops_free", [txs] {
-        return txs->ops_free.load(std::memory_order_relaxed);
-    });
-    ctl_.registerName("stats.tx.ops_write", [txs] {
-        return txs->ops_write.load(std::memory_order_relaxed);
-    });
+    for (auto [name, field] :
+         {std::pair{"stats.tx.begins", &TxCounters::begins},
+          std::pair{"stats.tx.commits", &TxCounters::commits},
+          std::pair{"stats.tx.aborts", &TxCounters::aborts},
+          std::pair{"stats.tx.ops_alloc", &TxCounters::ops_alloc},
+          std::pair{"stats.tx.ops_free", &TxCounters::ops_free},
+          std::pair{"stats.tx.ops_write", &TxCounters::ops_write}}) {
+        ctl_.registerName(name, [this, f = field] { return txCount(f); });
+    }
     ctl_.registerName("stats.tx.rejected", [txs] {
         return txs->rejected.load(std::memory_order_relaxed);
     });
@@ -357,8 +349,7 @@ NvAlloc::buildCtlRegistry()
                       [txs] { return txs->recovered_committed; });
     ctl_.registerName("stats.tx.recovered_rolled_back",
                       [txs] { return txs->recovered_rolled_back; });
-    ctl_.registerName("stats.tx.open",
-                      [this] { return tx_mgr_.openCount(); });
+    ctl_.registerName("stats.tx.open", [this] { return txOpenCount(); });
     ctl_.registerName("stats.tx.staged_blocks",
                       [this] { return tx_mgr_.stagedCount(); });
 
@@ -395,29 +386,32 @@ NvAlloc::buildCtlRegistry()
                          : 0;
             };
         };
-        ctl_.registerName("stats.kv.inserts", kv(&KvStats::inserts));
-        ctl_.registerName("stats.kv.updates", kv(&KvStats::updates));
-        ctl_.registerName("stats.kv.erases", kv(&KvStats::erases));
-        ctl_.registerName("stats.kv.rmws", kv(&KvStats::rmws));
-        ctl_.registerName("stats.kv.gets", kv(&KvStats::gets));
-        ctl_.registerName("stats.kv.hits", kv(&KvStats::hits));
-        ctl_.registerName("stats.kv.misses", kv(&KvStats::misses));
-        ctl_.registerName("stats.kv.scans", kv(&KvStats::scans));
-        ctl_.registerName("stats.kv.scanned_records",
-                          kv(&KvStats::scanned_records));
-        ctl_.registerName("stats.kv.corrupt_records",
-                          kv(&KvStats::corrupt_records));
-        ctl_.registerName("stats.kv.rejected_unhealthy",
-                          kv(&KvStats::rejected_unhealthy));
-        ctl_.registerName("stats.kv.rejected_quota",
-                          kv(&KvStats::rejected_quota));
-        ctl_.registerName("stats.kv.failed_allocs",
-                          kv(&KvStats::failed_allocs));
-        ctl_.registerName("stats.kv.records", kv(&KvStats::records));
-        ctl_.registerName("stats.kv.key_bytes",
-                          kv(&KvStats::key_bytes));
-        ctl_.registerName("stats.kv.value_bytes",
-                          kv(&KvStats::value_bytes));
+        // The op counters and gauges are per stripe (KvCounters).
+        using C = KvCounters;
+        for (auto [name, field] : {
+                 std::pair{"stats.kv.inserts", &C::inserts},
+                 std::pair{"stats.kv.updates", &C::updates},
+                 std::pair{"stats.kv.erases", &C::erases},
+                 std::pair{"stats.kv.rmws", &C::rmws},
+                 std::pair{"stats.kv.gets", &C::gets},
+                 std::pair{"stats.kv.hits", &C::hits},
+                 std::pair{"stats.kv.misses", &C::misses},
+                 std::pair{"stats.kv.scans", &C::scans},
+                 std::pair{"stats.kv.scanned_records", &C::scanned_records},
+                 std::pair{"stats.kv.corrupt_records", &C::corrupt_records},
+                 std::pair{"stats.kv.rejected_unhealthy",
+                           &C::rejected_unhealthy},
+                 std::pair{"stats.kv.rejected_quota", &C::rejected_quota},
+                 std::pair{"stats.kv.failed_allocs", &C::failed_allocs},
+                 std::pair{"stats.kv.records", &C::records},
+                 std::pair{"stats.kv.key_bytes", &C::key_bytes},
+                 std::pair{"stats.kv.value_bytes", &C::value_bytes},
+             }) {
+            ctl_.registerName(name, [this, f = field]() -> uint64_t {
+                const KvStats *s = kvStats();
+                return s ? s->sum(f) : 0;
+            });
+        }
         ctl_.registerName("stats.kv.buckets", kv(&KvStats::buckets));
         ctl_.registerName("stats.kv.max_chain", [this]() -> uint64_t {
             const KvStats *s = kvStats();

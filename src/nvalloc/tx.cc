@@ -52,15 +52,15 @@ NvAlloc::txBegin(ThreadCtx &ctx)
     }
     if (ctx.tx.open())
         return txRejected(); // nested begin
-    ctx.tx.id = tx_mgr_.beginTx();
+    ctx.tx.id.store(tx_mgr_.nextId(), std::memory_order_relaxed);
     ctx.tx.ops.reserve(kTxMaxOps);
     // Hold a maintenance pin for the whole tx lifetime: background
     // slow GC relocates bookkeeping-log entries, and an uncommitted
     // tx's large allocations must keep their log refs stable until
     // commit or abort resolves them.
     maint_.pin();
-    tx_mgr_.stats().begins.fetch_add(1, std::memory_order_relaxed);
-    tel_.event(TraceOp::TxBegin, ctx.tx.id);
+    TxCounters::bump(ctx.tx_ctr.begins);
+    tel_.event(TraceOp::TxBegin, ctx.tx.current());
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
 }
@@ -88,7 +88,7 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
     // WAL append tx-tagged. Guard sampling is deliberately bypassed:
     // guard registrations are volatile and a sampled tx alloc would
     // lose its redzone contract across the crash the tx exists for.
-    ctx.journal_tx_id = ctx.tx.id;
+    ctx.journal_tx_id = ctx.tx.current();
     uint64_t off = size <= smallLimit()
                        ? allocSmall(ctx, size, where_off)
                        : allocLarge(ctx, size, where_off);
@@ -105,7 +105,7 @@ NvAlloc::txAlloc(ThreadCtx &ctx, size_t size, uint64_t *where)
     op.where = where;
     op.size = size;
     ctx.tx.ops.push_back(op);
-    tx_mgr_.stats().ops_alloc.fetch_add(1, std::memory_order_relaxed);
+    TxCounters::bump(ctx.tx_ctr.ops_alloc);
     return off;
 }
 
@@ -154,12 +154,12 @@ NvAlloc::txFree(ThreadCtx &ctx, uint64_t off)
     // Journal the deferred free (one flush, tagged). No attach word is
     // cleared here — pair the free with a txWrite of the owning
     // pointer word to clear it in the same atomic unit.
-    ctx.wal.append(kWalFree, off, kWalNoWhere, 0, ctx.tx.id);
+    ctx.wal.append(kWalFree, off, kWalNoWhere, 0, ctx.tx.current());
     TxOp op;
     op.kind = TxOp::Kind::Free;
     op.off = off;
     ctx.tx.ops.push_back(op);
-    tx_mgr_.stats().ops_free.fetch_add(1, std::memory_order_relaxed);
+    TxCounters::bump(ctx.tx_ctr.ops_free);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
 }
@@ -189,7 +189,7 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     // Journal undo (where_off) + redo (size) before the in-place
     // write: crash before the entry = word untouched; crash after =
     // the entry restores or re-applies it either way.
-    ctx.wal.append(kWalTxData, woff, old, value, ctx.tx.id);
+    ctx.wal.append(kWalTxData, woff, old, value, ctx.tx.current());
     target.store(value, std::memory_order_relaxed);
     dev_.persistFence(word, sizeof(uint64_t), TimeKind::FlushData);
 
@@ -199,7 +199,7 @@ NvAlloc::txWrite(ThreadCtx &ctx, uint64_t *word, uint64_t value)
     op.old_value = old;
     op.new_value = value;
     ctx.tx.ops.push_back(op);
-    tx_mgr_.stats().ops_write.fetch_add(1, std::memory_order_relaxed);
+    TxCounters::bump(ctx.tx_ctr.ops_write);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
 }
@@ -216,9 +216,9 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     dev_.fence();
     // The append's own persist+fence is the commit point: ONE flush
     // publishes the whole transaction.
-    ctx.wal.appendTxMark(ctx.tx.id, kWalTxCommit,
-                         uint64_t(ctx.tx.ops.size()));
-    tel_.event(TraceOp::TxCommit, ctx.tx.id);
+    const uint32_t id = ctx.tx.current();
+    ctx.wal.appendTxMark(id, kWalTxCommit, uint64_t(ctx.tx.ops.size()));
+    tel_.event(TraceOp::TxCommit, id);
 
     // Apply phase — deliberately journal-free: another WAL append here
     // would displace the commit record as the ring's newest entry, and
@@ -247,8 +247,7 @@ NvAlloc::txCommit(ThreadCtx &ctx)
     // implies no later conflicting transaction could have started, so
     // the redo recovery performs instead is safe.
     dev_.fence();
-    ctx.wal.appendTxMark(ctx.tx.id, kWalTxApplied,
-                         uint64_t(ctx.tx.ops.size()));
+    ctx.wal.appendTxMark(id, kWalTxApplied, uint64_t(ctx.tx.ops.size()));
 
     finishTx(ctx, /*committed=*/true);
     VClock::advance(kTxCpuNs, TimeKind::Other);
@@ -283,9 +282,9 @@ NvAlloc::txAbort(ThreadCtx &ctx)
     }
 
     dev_.fence();
-    ctx.wal.appendTxMark(ctx.tx.id, kWalTxAbort,
-                         uint64_t(ctx.tx.ops.size()));
-    tel_.event(TraceOp::TxAbort, ctx.tx.id);
+    const uint32_t id = ctx.tx.current();
+    ctx.wal.appendTxMark(id, kWalTxAbort, uint64_t(ctx.tx.ops.size()));
+    tel_.event(TraceOp::TxAbort, id);
     finishTx(ctx, /*committed=*/false);
     VClock::advance(kTxCpuNs, TimeKind::Other);
     return NvStatus::Ok;
@@ -298,11 +297,7 @@ NvAlloc::finishTx(ThreadCtx &ctx, bool committed)
         if (op.kind != TxOp::Kind::Write)
             tx_mgr_.unstage(op.off);
     }
-    tx_mgr_.endTx(ctx.tx.id);
-    if (committed)
-        tx_mgr_.stats().commits.fetch_add(1, std::memory_order_relaxed);
-    else
-        tx_mgr_.stats().aborts.fetch_add(1, std::memory_order_relaxed);
+    TxCounters::bump(committed ? ctx.tx_ctr.commits : ctx.tx_ctr.aborts);
     ctx.tx.reset();
     maint_.unpin();
 }

@@ -43,11 +43,19 @@
  * The whole tx lifetime holds a MaintenanceService pin, so background
  * slow GC never relocates bookkeeping-log entries out from under an
  * uncommitted transaction's large allocations.
+ *
+ * Sharing: no tx op writes a cache line that every thread writes. The
+ * open tx id and the lifecycle counters (TxCounters) live in the
+ * caller's ThreadCtx; the staged registry is striped by offset, so
+ * stage/unstage/isStaged lock only the stripe their offset hashes to.
+ * The exceptions are the id allocator (one relaxed fetch_add per
+ * begin) and the maintenance pin.
  */
 
 #ifndef NVALLOC_NVALLOC_TX_H
 #define NVALLOC_NVALLOC_TX_H
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -82,23 +90,28 @@ struct TxOp
  *  is the bounded undo buffer: it can never exceed kTxMaxOps. */
 struct TxContext
 {
-    uint32_t id = 0; //!< 0 = no open transaction
+    /** Open tx id, 0 = none. Only the owning thread writes it; it is
+     *  atomic because the auditor and stats.tx.open read it from other
+     *  threads (NvAlloc::txIsOpen / txOpenCount). */
+    std::atomic<uint32_t> id{0};
     std::vector<TxOp> ops;
 
-    bool open() const { return id != 0; }
+    uint32_t current() const { return id.load(std::memory_order_relaxed); }
+    bool open() const { return current() != 0; }
 
     void
     reset()
     {
-        id = 0;
+        id.store(0, std::memory_order_relaxed);
         ops.clear();
     }
 };
 
-/** stats.tx.* counters. The atomics are bumped on tx operations and
- *  read lock-free by the ctl tree; the recovered_* pair is plain
- *  because recovery runs single-threaded before any tx can open. */
-struct TxStats
+/** The stats.tx.* lifecycle counters, one block per ThreadCtx. Only
+ *  the owning thread writes them (bump(): a load and a store, no RMW);
+ *  the ctl readers sum the attached contexts plus the total that
+ *  detachThread folds in, all under NvAlloc's attach mutex. */
+struct TxCounters
 {
     std::atomic<uint64_t> begins{0};
     std::atomic<uint64_t> commits{0};
@@ -106,6 +119,35 @@ struct TxStats
     std::atomic<uint64_t> ops_alloc{0};
     std::atomic<uint64_t> ops_free{0};
     std::atomic<uint64_t> ops_write{0};
+
+    static void
+    bump(std::atomic<uint64_t> &c)
+    {
+        c.store(c.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+    }
+
+    /** Add every counter of `o` into this block (single writer). */
+    void
+    add(const TxCounters &o)
+    {
+        for (auto m : {&TxCounters::begins, &TxCounters::commits,
+                       &TxCounters::aborts, &TxCounters::ops_alloc,
+                       &TxCounters::ops_free, &TxCounters::ops_write}) {
+            (this->*m).store((this->*m).load(std::memory_order_relaxed) +
+                                 (o.*m).load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+        }
+    }
+};
+
+/** The heap-wide stats.tx.* counters: only rejection paths and
+ *  recovery bump them (the per-op counters are TxCounters). The
+ *  atomics are read lock-free by the ctl tree; the recovered_* pair is
+ *  plain because recovery runs single-threaded before any tx can
+ *  open. */
+struct TxStats
+{
     /** Rejected tx calls: nested begin, op/commit/abort outside an
      *  open tx, degraded-open begin, bad txWrite target. */
     std::atomic<uint64_t> rejected{0};
@@ -119,26 +161,30 @@ struct TxStats
 };
 
 /**
- * Heap-wide transaction bookkeeping: id allocation, the set of open
- * ids, and the staged-offset registry consulted by the ordered free
- * validator. All volatile — a crash forgets it, and recovery clears
- * the rings it mirrors.
+ * Heap-wide transaction bookkeeping: id allocation, the staged-offset
+ * registry consulted by the ordered free validator, and the rejection
+ * counters. All volatile — a crash forgets it, and recovery clears the
+ * rings it mirrors. Which transactions are open is not kept here: an
+ * open tx is the nonzero TxContext::id of an attached ThreadCtx.
  *
- * The free-path probe is the only hot-path cost the layer adds:
- * one relaxed load of staged_count_, which is zero whenever no
- * transaction holds staged blocks.
+ * The registry is split into kStagedStripes cache-line-aligned
+ * stripes keyed by a hash of the offset, each with its own mutex, set
+ * and count. One offset always maps to one stripe, so the
+ * stage-before-validate arbitration between txFree and a racing plain
+ * free holds exactly as with one set, while transactions staging
+ * different offsets rarely meet on a lock. isStaged() skips the lock
+ * whenever its stripe is empty.
  */
 class TxManager
 {
   public:
-    /** Open a new transaction; returns its nonzero id. */
+    static constexpr unsigned kStagedStripes = 64;
+
+    /** Draw a new transaction id (nonzero). */
     uint32_t
-    beginTx()
+    nextId()
     {
-        uint32_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-        std::lock_guard<std::mutex> g(mu_);
-        open_.insert(id);
-        return id;
+        return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     }
 
     /** Recovery-time floor for id allocation: ids are volatile (they
@@ -157,82 +203,92 @@ class TxManager
         }
     }
 
-    /** Close an id (commit, abort, or recovery cleanup). */
-    void
-    endTx(uint32_t id)
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        open_.erase(id);
-    }
-
-    bool
-    isOpen(uint32_t id) const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return open_.count(id) != 0;
-    }
-
-    uint64_t
-    openCount() const
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        return open_.size();
-    }
-
     /** Register `off` as staged by an open tx (a tx-allocated block
      *  awaiting publish, or a tx-freed block awaiting its deferred
      *  free). False if some tx already staged it. */
     bool
     stage(uint64_t off)
     {
-        std::lock_guard<std::mutex> g(mu_);
-        if (!staged_.insert(off).second)
+        StagedStripe &st = stripeOf(off);
+        std::lock_guard<std::mutex> g(st.mu);
+        if (!st.offs.insert(off).second)
             return false;
-        staged_count_.store(staged_.size(), std::memory_order_relaxed);
+        st.count.store(st.offs.size(), std::memory_order_relaxed);
         return true;
     }
 
     void
     unstage(uint64_t off)
     {
-        std::lock_guard<std::mutex> g(mu_);
-        staged_.erase(off);
-        staged_count_.store(staged_.size(), std::memory_order_relaxed);
+        StagedStripe &st = stripeOf(off);
+        std::lock_guard<std::mutex> g(st.mu);
+        st.offs.erase(off);
+        st.count.store(st.offs.size(), std::memory_order_relaxed);
     }
 
-    /** Free-validator probe. The count shortcut keeps the plain free
-     *  path at one relaxed load when no tx holds staged blocks. */
+    /** Free-validator probe: one relaxed load when the offset's
+     *  stripe holds no staged block, the stripe lock otherwise. */
     bool
     isStaged(uint64_t off) const
     {
-        if (staged_count_.load(std::memory_order_relaxed) == 0)
+        const StagedStripe &st = stripeOf(off);
+        if (st.count.load(std::memory_order_relaxed) == 0)
             return false;
-        std::lock_guard<std::mutex> g(mu_);
-        return staged_.count(off) != 0;
+        std::lock_guard<std::mutex> g(st.mu);
+        return st.offs.count(off) != 0;
     }
 
-    /** Auditor snapshot of the staged registry. */
+    /** Auditor snapshot of the staged registry, stripe by stripe. */
     std::vector<uint64_t>
     stagedSnapshot() const
     {
-        std::lock_guard<std::mutex> g(mu_);
-        return std::vector<uint64_t>(staged_.begin(), staged_.end());
+        std::vector<uint64_t> out;
+        for (const StagedStripe &st : staged_) {
+            std::lock_guard<std::mutex> g(st.mu);
+            out.insert(out.end(), st.offs.begin(), st.offs.end());
+        }
+        return out;
     }
 
+    /** stats.tx.staged_blocks: the stripes' counts summed (a racy
+     *  snapshot while transactions run, exact when none is open). */
     uint64_t
     stagedCount() const
     {
-        return staged_count_.load(std::memory_order_relaxed);
+        uint64_t n = 0;
+        for (const StagedStripe &st : staged_)
+            n += st.count.load(std::memory_order_relaxed);
+        return n;
     }
 
     TxStats &stats() { return stats_; }
     const TxStats &stats() const { return stats_; }
 
   private:
-    mutable std::mutex mu_;
-    std::unordered_set<uint32_t> open_;
-    std::unordered_set<uint64_t> staged_;
-    std::atomic<uint64_t> staged_count_{0};
+    struct alignas(64) StagedStripe
+    {
+        mutable std::mutex mu;
+        std::unordered_set<uint64_t> offs;
+        std::atomic<uint64_t> count{0};
+    };
+
+    /** Fibonacci hash: block offsets are multiples of 16 or more, so
+     *  their low bits alone would crowd a few stripes. */
+    static size_t
+    stripeIndex(uint64_t off)
+    {
+        return size_t((off * 0x9e3779b97f4a7c15ULL) >> 58);
+    }
+    static_assert(kStagedStripes == 64, "stripeIndex keeps 6 bits");
+
+    StagedStripe &stripeOf(uint64_t off) { return staged_[stripeIndex(off)]; }
+    const StagedStripe &
+    stripeOf(uint64_t off) const
+    {
+        return staged_[stripeIndex(off)];
+    }
+
+    std::array<StagedStripe, kStagedStripes> staged_;
     std::atomic<uint32_t> next_id_{0};
     TxStats stats_;
 };

@@ -35,9 +35,11 @@
 #ifndef NVALLOC_PM_FAULT_INJECTOR_H
 #define NVALLOC_PM_FAULT_INJECTOR_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <unordered_set>
 
 #include "common/size_classes.h"
@@ -67,6 +69,35 @@ copyLineWords(char *dst, const char *src)
 {
     for (unsigned w = 0; w < kCacheLine / 8; ++w)
         copyLiveWord(dst + w * 8, src + w * 8);
+}
+
+/**
+ * The writer's half of copyLiveWord: store `n` bytes (a multiple of 8)
+ * of `src` at the 8-byte-aligned live address `dst`, for an object
+ * that owns those bytes but may share its first and last line with
+ * neighbours that other threads flush. Words on those two lines go
+ * through relaxed atomic_refs; the whole lines in between, which no
+ * neighbour covers, take a plain memcpy.
+ */
+inline void
+storeLiveWords(char *dst, const char *src, size_t n)
+{
+    auto word = [&](size_t i) {
+        uint64_t w;
+        std::memcpy(&w, src + i, sizeof(w));
+        std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t *>(dst + i))
+            .store(w, std::memory_order_relaxed);
+    };
+    const uintptr_t a = reinterpret_cast<uintptr_t>(dst);
+    const uintptr_t mask = kCacheLine - 1;
+    const size_t head = std::min(n, size_t(((a + mask) & ~mask) - a));
+    const uintptr_t last_line = (a + n) & ~mask;
+    const size_t tail = last_line > a + head ? last_line - a : head;
+    for (size_t i = 0; i < head; i += 8)
+        word(i);
+    std::memcpy(dst + head, src + head, tail - head);
+    for (size_t i = tail; i < n; i += 8)
+        word(i);
 }
 
 /** What survives of the crash epoch; all coins seeded + per-line. */

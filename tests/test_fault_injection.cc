@@ -577,6 +577,58 @@ TEST(PoisonContainment, PoisonedSlabHeaderIsQuarantinedPersistently)
     EXPECT_FALSE(blockIsLive(third, a_off));
 }
 
+TEST(PoisonContainment, RefusalPastAFullQuarantineListAuditsClean)
+{
+    // One more bad slab header than the persistent list holds: the
+    // last refusal is kept in memory, and the slab must still read as
+    // quarantined — to the auditor's slab/extent cross-check too.
+    PmDeviceConfig dcfg;
+    dcfg.size = size_t{1} << 28;
+    dcfg.shadow = true;
+    PmDevice dev(dcfg);
+
+    constexpr unsigned kSlabs = kQuarantineSlots + 1;
+    std::vector<uint64_t> slabs;
+    {
+        auto alloc_h = NvAlloc::openOrDie(dev);
+        NvAlloc &alloc = *alloc_h;
+        ThreadCtx *ctx = alloc.attachThread();
+        // Every size class gets its own slab.
+        for (size_t size = 16; slabs.size() < kSlabs; size += 16) {
+            uint64_t off = alloc.allocOffset(*ctx, size, nullptr);
+            ASSERT_NE(off, 0u);
+            uint64_t slab = static_cast<VSlab *>(
+                                alloc.slabRadix().get(off))
+                                ->slabOffset();
+            if (std::find(slabs.begin(), slabs.end(), slab) ==
+                slabs.end())
+                slabs.push_back(slab);
+        }
+        for (uint64_t slab : slabs)
+            dev.poisonLine(slab); // each header's first line
+        alloc.simulateCrash();
+    }
+    for (int reopen = 0; reopen < 2; ++reopen) {
+        auto again_h = NvAlloc::openOrDie(dev);
+        NvAlloc &again = *again_h;
+        // Recovery refuses all of them on every open: the persistent
+        // list is full after the first, and the overflow is forgotten.
+        EXPECT_EQ(again.lastRecovery().slabs_quarantined,
+                  reopen == 0 ? kSlabs : 1u);
+        for (uint64_t slab : slabs)
+            EXPECT_TRUE(again.isQuarantined(slab)) << slab;
+        std::vector<uint64_t> q = again.quarantinedSlabs();
+        std::sort(q.begin(), q.end());
+        std::vector<uint64_t> want = slabs;
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(q, want);
+
+        AuditReport rep = HeapAuditor(again).audit();
+        EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+        again.dirtyRestart();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Double recovery: crash during recovery, recover again
 // ---------------------------------------------------------------------

@@ -29,6 +29,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kv/kv_c.h"
@@ -313,7 +314,7 @@ TEST_F(KvFixture, CorruptRecordContainedNotFatal)
 
     std::string v;
     EXPECT_EQ(store_->get("victim", &v), KvStatus::Corrupt);
-    EXPECT_GE(store_->stats().corrupt_records.load(), 1u);
+    EXPECT_GE(store_->stats().sum(&KvCounters::corrupt_records), 1u);
     EXPECT_EQ(store_->get("bystander", &v), KvStatus::Ok);
     EXPECT_EQ(store_->verify(), KvStatus::Corrupt);
     // The KV layer contains payload damage record-granularly; the
@@ -348,6 +349,79 @@ TEST_F(KvFixture, StatsCtlSubtreeFollowsTraffic)
     store_.reset();
     EXPECT_EQ(ctlValue(*alloc_, "stats.kv.inserts"), 0u);
     EXPECT_EQ(ctlValue(*alloc_, "stats.kv.records"), 0u);
+}
+
+TEST_F(KvFixture, StripeCountersSumExactlyUnderConcurrentOps)
+{
+    // Disjoint key sets per thread keep every outcome deterministic
+    // while the threads share the stripes.
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kKeys = 96;
+    auto key = [](unsigned t, unsigned i) {
+        return "t" + std::to_string(t) + "-key-" + std::to_string(i);
+    };
+    auto value = [](unsigned t, unsigned i, unsigned ver) {
+        return std::string(40 + (t * 7 + i + ver * 13) % 90,
+                           char('a' + (i + ver) % 26));
+    };
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            ThreadCtx *ctx = alloc_->attachThread();
+            ASSERT_NE(ctx, nullptr);
+            std::string v;
+            for (unsigned i = 0; i < kKeys; ++i)
+                ASSERT_EQ(store_->put(*ctx, key(t, i), value(t, i, 0)),
+                          KvStatus::Ok);
+            for (unsigned i = 0; i < kKeys; i += 2) // update half
+                ASSERT_EQ(store_->put(*ctx, key(t, i), value(t, i, 1)),
+                          KvStatus::Ok);
+            for (unsigned i = 0; i < kKeys; ++i) {
+                EXPECT_EQ(store_->get(key(t, i), &v), KvStatus::Ok);
+                EXPECT_EQ(store_->get(key(t, i) + "-absent", &v),
+                          KvStatus::NotFound);
+            }
+            for (unsigned i = 0; i < kKeys; i += 4) // erase a quarter
+                ASSERT_EQ(store_->erase(*ctx, key(t, i)), KvStatus::Ok);
+            alloc_->detachThread(ctx);
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+
+    uint64_t records = 0, key_bytes = 0, value_bytes = 0;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        for (unsigned i = 0; i < kKeys; ++i) {
+            if (i % 4 == 0)
+                continue;
+            ++records;
+            key_bytes += key(t, i).size();
+            value_bytes += value(t, i, i % 2 == 0 ? 1 : 0).size();
+        }
+    }
+    const uint64_t n = kThreads * kKeys;
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.gets"), 2 * n);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.hits"), n);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.misses"), n);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.inserts"), n);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.updates"), n / 2);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.erases"), n / 4);
+    auto gauges = [&] {
+        EXPECT_EQ(ctlValue(*alloc_, "stats.kv.records"), records);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.kv.key_bytes"), key_bytes);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.kv.value_bytes"), value_bytes);
+        EXPECT_EQ(store_->count(), records);
+    };
+    gauges();
+
+    // Reopen: rebuild() re-derives each stripe's gauges from the
+    // chains and must land on the same sums.
+    store_.reset();
+    KvStatus why;
+    store_ = KvStore::open(*alloc_, KvOptions{}, &why);
+    ASSERT_NE(store_, nullptr) << kvStatusName(why);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.kv.rebuilt_records"), records);
+    gauges();
 }
 
 TEST(KvOpen, GcVariantAndOccupiedRootRefused)
@@ -456,7 +530,7 @@ TEST(KvContracts, DegradedHeapRefusesOps)
     EXPECT_EQ(store->put(*ctx, "k2", "v"), KvStatus::HeapUnhealthy);
     EXPECT_EQ(store->get("k", &v), KvStatus::HeapUnhealthy);
     EXPECT_EQ(store->erase(*ctx, "k"), KvStatus::HeapUnhealthy);
-    EXPECT_GE(store->stats().rejected_unhealthy.load(), 3u);
+    EXPECT_GE(store->stats().sum(&KvCounters::rejected_unhealthy), 3u);
     store.reset();
     alloc.detachThread(ctx);
 }
@@ -494,7 +568,7 @@ TEST(KvContracts, QuotaExceededIsNotAnAbort)
     }
     ASSERT_EQ(st, KvStatus::QuotaExceeded)
         << "quota never tripped after " << landed << " inserts";
-    EXPECT_GE(store->stats().rejected_quota.load(), 1u);
+    EXPECT_GE(store->stats().sum(&KvCounters::rejected_quota), 1u);
 
     // Not an abort: the heap stays Serving, existing data stays
     // readable, and small traffic keeps working.

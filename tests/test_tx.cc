@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "nvalloc/auditor.h"
@@ -350,6 +351,153 @@ TEST_F(TxFixture, DegradedHeapRejectsTx)
     EXPECT_EQ(degraded.txRejected(), NvStatus::InvalidArgument);
     EXPECT_EQ(degraded.lastStatus(), NvStatus::InvalidArgument);
     EXPECT_GE(ctlValue(degraded, "stats.tx.rejected"), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Concurrency: the striped staged registry and the summed counters
+// ---------------------------------------------------------------------
+
+TEST_F(TxFixture, StagedBlocksArbitrateAcrossThreads)
+{
+    // Blocks enough to land in many registry stripes; one tx holds
+    // them all.
+    constexpr int kBlocks = int(kTxMaxOps);
+    std::vector<uint64_t> blocks;
+    for (int i = 0; i < kBlocks; ++i) {
+        uint64_t off = alloc_->allocOffset(*ctx_, 48 + 16 * (i % 4),
+                                           nullptr);
+        ASSERT_NE(off, 0u);
+        blocks.push_back(off);
+    }
+    // Thread A (this one) stages every block and keeps its tx open.
+    ASSERT_EQ(alloc_->txBegin(*ctx_), NvStatus::Ok);
+    for (uint64_t off : blocks)
+        ASSERT_EQ(alloc_->txFree(*ctx_, off), NvStatus::Ok);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.staged_blocks"),
+              uint64_t(kBlocks));
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.open"), 1u);
+
+    // Thread B: a plain free and a tx free of each staged block are
+    // both refused as TxStagedFree.
+    std::thread b([&] {
+        ThreadCtx *t = alloc_->attachThread();
+        ASSERT_NE(t, nullptr);
+        for (uint64_t off : blocks) {
+            EXPECT_EQ(alloc_->freeOffset(*t, off, nullptr),
+                      NvStatus::InvalidFree);
+            ASSERT_EQ(alloc_->txBegin(*t), NvStatus::Ok);
+            EXPECT_EQ(alloc_->txFree(*t, off), NvStatus::InvalidFree);
+            EXPECT_EQ(alloc_->txCommit(*t), NvStatus::Ok);
+        }
+        alloc_->detachThread(t);
+    });
+    b.join();
+    EXPECT_EQ(ctlValue(*alloc_, "stats.hardening.tx_staged_frees"),
+              uint64_t(2 * kBlocks));
+
+    // A's open run is live, not orphaned.
+    AuditReport rep = HeapAuditor(*alloc_).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+
+    ASSERT_EQ(alloc_->txCommit(*ctx_), NvStatus::Ok);
+    for (uint64_t off : blocks)
+        EXPECT_FALSE(blockIsLive(*alloc_, off));
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.staged_blocks"), 0u);
+    EXPECT_EQ(ctlValue(*alloc_, "stats.tx.open"), 0u);
+    rep = HeapAuditor(*alloc_).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
+}
+
+TEST_F(TxFixture, CountersSumOverLiveAndDetachedThreads)
+{
+    // Each worker runs kTx transactions on two ThreadCtxs in turn: it
+    // detaches the first halfway, and half the workers leave the
+    // second attached for this thread to read the sums through.
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kTx = 120;
+    struct Expect
+    {
+        uint64_t begins = 0, commits = 0, aborts = 0;
+        uint64_t allocs = 0, frees = 0, writes = 0;
+    };
+    std::vector<Expect> want(kThreads);
+    std::vector<ThreadCtx *> kept(kThreads, nullptr);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < kThreads; ++w) {
+        workers.emplace_back([&, w] {
+            Expect &e = want[w];
+            ThreadCtx *t = alloc_->attachThread();
+            ASSERT_NE(t, nullptr);
+            // Two persistent words of this worker's own: [0] holds its
+            // newest committed block, [1] takes the txWrites.
+            uint64_t words_off = alloc_->allocOffset(*t, 64, nullptr);
+            ASSERT_NE(words_off, 0u);
+            auto *words = static_cast<uint64_t *>(alloc_->at(words_off));
+            words[0] = words[1] = 0;
+            for (unsigned i = 0; i < kTx; ++i) {
+                if (i == kTx / 2) {
+                    alloc_->detachThread(t);
+                    t = alloc_->attachThread();
+                    ASSERT_NE(t, nullptr);
+                }
+                ASSERT_EQ(alloc_->txBegin(*t), NvStatus::Ok);
+                ++e.begins;
+                uint64_t prev = words[0];
+                ASSERT_NE(alloc_->txAlloc(*t, 64 + 16 * (i % 3),
+                                          &words[0]),
+                          0u);
+                ++e.allocs;
+                if (prev) {
+                    ASSERT_EQ(alloc_->txFree(*t, prev), NvStatus::Ok);
+                    ++e.frees;
+                }
+                ASSERT_EQ(alloc_->txWrite(*t, &words[1], i),
+                          NvStatus::Ok);
+                ++e.writes;
+                if (i % 5 == 4) {
+                    ASSERT_EQ(alloc_->txAbort(*t), NvStatus::Ok);
+                    ++e.aborts;
+                } else {
+                    ASSERT_EQ(alloc_->txCommit(*t), NvStatus::Ok);
+                    ++e.commits;
+                }
+            }
+            if (w % 2 == 0)
+                alloc_->detachThread(t);
+            else
+                kept[w] = t;
+        });
+    }
+    for (std::thread &t : workers)
+        t.join();
+
+    Expect sum;
+    for (const Expect &e : want) {
+        sum.begins += e.begins;
+        sum.commits += e.commits;
+        sum.aborts += e.aborts;
+        sum.allocs += e.allocs;
+        sum.frees += e.frees;
+        sum.writes += e.writes;
+    }
+    auto check = [&] {
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.begins"), sum.begins);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.commits"), sum.commits);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.aborts"), sum.aborts);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.ops_alloc"), sum.allocs);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.ops_free"), sum.frees);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.ops_write"), sum.writes);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.open"), 0u);
+        EXPECT_EQ(ctlValue(*alloc_, "stats.tx.staged_blocks"), 0u);
+    };
+    check();
+    for (ThreadCtx *t : kept) {
+        if (t)
+            alloc_->detachThread(t);
+    }
+    check(); // folded into the retired total, not lost
+    AuditReport rep = HeapAuditor(*alloc_).audit();
+    EXPECT_EQ(rep.violations(), 0u) << rep.summary();
 }
 
 // ---------------------------------------------------------------------

@@ -523,11 +523,11 @@ ChaosHarness::inject(ChaosEvent ev, NvAlloc &heap, ThreadCtx &ctx,
         std::memcpy(saved, payload, sizeof(saved));
         std::memset(payload, 0x6b, sizeof(saved));
         uint64_t corrupt_before =
-            kv->stats().corrupt_records.load(std::memory_order_relaxed);
+            kv->stats().sum(&KvCounters::corrupt_records);
         if (kv->get(keys[1], &out) != KvStatus::Corrupt)
             return fail(round, ev, "stomped record not detected");
-        if (kv->stats().corrupt_records.load(
-                std::memory_order_relaxed) <= corrupt_before)
+        if (kv->stats().sum(&KvCounters::corrupt_records) <=
+            corrupt_before)
             return fail(round, ev, "corrupt_records did not move");
         if (kv->get(keys[2], &out) != KvStatus::Ok ||
             out != vals[2])
